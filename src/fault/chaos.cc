@@ -484,7 +484,13 @@ runFfBoundaryCell(const CellConfig &cfg)
                 ++res.ffRaisesDropped;
             return out;
         });
-    core.setFfTransitionHook([&](bool, Cycles) -> Cycles {
+    // Entry consults reached (entering == true). A Delay directive at
+    // one aborts that entry, so a cell whose only FF-eligible window
+    // was pinned legitimately ends with ffEntries == 0.
+    std::uint64_t entryConsults = 0;
+    core.setFfTransitionHook([&](bool entering, Cycles) -> Cycles {
+        if (entering)
+            ++entryConsults;
         auto d = inj.decide(fault::Site::FfTransition);
         switch (d.action) {
           case fault::Action::Delay:
@@ -533,7 +539,7 @@ runFfBoundaryCell(const CellConfig &cfg)
     if (s.ffExits > s.ffEntries || s.ffEntries - s.ffExits > 1)
         res.violations.push_back(
             "fast-forward entries/exits do not telescope");
-    if (s.ffEntries == 0)
+    if (entryConsults == 0)
         res.violations.push_back(
             "fast-forward never engaged: no boundaries exercised");
     if (s.intrRecords.size() > s.interruptsDelivered ||

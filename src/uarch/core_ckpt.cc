@@ -12,16 +12,19 @@
  * with the same (id, params, program, seed) tuple; configuration is
  * therefore not serialized, only validated where cheap (table sizes).
  * Derived structures are rebuilt rather than deserialized:
- *  - rename table + IQ list + occupancy counters via
- *    rebuildRenameTable(), the same routine squash recovery uses;
- *  - the producer-readiness ring and the completion wheel via
+ *  - rename table, issue candidates, store index and occupancy
+ *    counters via rebuildRenameTable(), the same routine squash
+ *    recovery uses (wakeup lists restart empty: every un-issued
+ *    entry is a candidate again and re-parks on its first issue
+ *    check);
+ *  - the producer ring and the completion wheel via
  *    rebuildExecStructures() below, since both are pure functions of
  *    the ROB contents and the current cycle.
  * The rebuilt rename table maps registers whose producer already
  * committed to seq 0 where the uninterrupted run keeps the retired
- * seq; both read as "ready now" everywhere (depReady/depBound), so
- * the divergence is unobservable — the round-trip corpus test is
- * what pins that claim.
+ * seq; both read as "ready now" (pendingProducer), so the divergence
+ * is unobservable — the round-trip corpus test is what pins that
+ * claim.
  */
 
 #include <cstddef>
@@ -102,12 +105,15 @@ OooCore::saveRobEntry(ckpt::Writer &w, const RobEntry &e)
     w.u64(e.historyBefore);
     w.u64(e.dep1);
     w.u64(e.dep2);
-    w.u64(e.notBefore);
+    // Reserved word, always zero: keeps the payload layout and size
+    // of earlier snapshots.
+    w.u64(0);
 }
 
 bool
 OooCore::loadRobEntry(ckpt::Reader &r, RobEntry &e)
 {
+    std::uint64_t reserved = 0;
     return loadUop(r, e.uop) && r.u64(e.seq) && r.u32(e.pc) &&
            r.u32(e.nextPc) && r.u64(e.imm) && r.b(e.issued) &&
            r.b(e.done) && r.u64(e.readyAt) && r.u64(e.addr) &&
@@ -116,7 +122,7 @@ OooCore::loadRobEntry(ckpt::Reader &r, RobEntry &e)
            r.b(e.mispredicted) && r.b(e.wrongPath) &&
            r.b(e.countedExec) && r.u32(e.correctTarget) &&
            r.u64(e.historyBefore) && r.u64(e.dep1) &&
-           r.u64(e.dep2) && r.u64(e.notBefore);
+           r.u64(e.dep2) && r.u64(reserved);
 }
 
 void
@@ -361,23 +367,21 @@ OooCore::loadState(ckpt::Reader &r)
         !r.u32(lastCommittedNextPc_))
         return false;
 
-    if (!r.u64(n) || n > kMaxElems)
+    // Both rings are fixed-capacity: a count the live core could
+    // never reach is malformed, not merely large.
+    if (!r.u64(n) || n > fetchBuffer_.capacity())
         return r.fail();
     fetchBuffer_.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
-        RobEntry e;
-        if (!loadRobEntry(r, e))
+        if (!loadRobEntry(r, fetchBuffer_.emplace_back()))
             return false;
-        fetchBuffer_.push_back(std::move(e));
     }
-    if (!r.u64(n) || n > kMaxElems)
+    if (!r.u64(n) || n > rob_.capacity())
         return r.fail();
     rob_.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
-        RobEntry e;
-        if (!loadRobEntry(r, e))
+        if (!loadRobEntry(r, rob_.emplace_back()))
             return false;
-        rob_.push_back(std::move(e));
     }
     std::vector<std::uint64_t> execCount;
     if (!r.vecU64(execCount) || execCount.size() != execCount_.size())
@@ -470,14 +474,10 @@ OooCore::loadState(ckpt::Reader &r)
 void
 OooCore::rebuildExecStructures()
 {
-    // Readiness ring: a pure function of the live ROB. Slots are
+    // Producer ring: a pure function of the live ROB. Slots are
     // invalidated on commit/squash, so only in-flight seqs may
-    // occupy one. Un-issued entries read ~0 (not ready) exactly as
-    // dispatchStage initializes them; issued entries carry their
-    // writeback time (which persists after done, matching the live
-    // structure).
+    // occupy one.
     std::fill(ringSeq_.begin(), ringSeq_.end(), 0);
-    std::fill(ringReadyAt_.begin(), ringReadyAt_.end(), ~Cycles(0));
     std::fill(ringEntry_.begin(), ringEntry_.end(), nullptr);
     for (auto &bucket : wbWheel_)
         bucket.clear();
@@ -487,7 +487,6 @@ OooCore::rebuildExecStructures()
         std::size_t slot = e.seq & kRingMask;
         ringSeq_[slot] = e.seq;
         ringEntry_[slot] = &e;
-        ringReadyAt_[slot] = e.issued ? e.readyAt : ~Cycles(0);
         // Completion wheel: only issued-but-incomplete entries are
         // awaiting writeback. Membership (wheel vs far list) follows
         // the same distance rule scheduleWriteback applies, relative

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "uarch/uarch_system.hh"
 
@@ -21,15 +22,19 @@ OooCore::OooCore(unsigned id, const CoreParams &params,
       fetchPc_(program->entry()),
       resumePc_(program->entry()),
       lastCommittedNextPc_(program->entry()),
+      fetchBuffer_(kFetchBufferCap),
+      rob_(params.robSize),
+      storeIndex_(params.robSize),
       renameTable_(reg::kCount, 0),
       execCount_(program->size(), 0),
       ringSeq_(kRingSize, 0),
-      ringReadyAt_(kRingSize, 0),
       ringEntry_(kRingSize, nullptr),
       wbWheel_(kWbSpan)
 {
     assert(program != nullptr);
-    iqList_.reserve(512);
+    issueCands_.reserve(params.robSize);
+    woken_.reserve(params.robSize);
+    issueScratch_.reserve(params.robSize);
 }
 
 bool
@@ -508,6 +513,8 @@ OooCore::commitStage()
         if (head.uop.cls == OpClass::MemWrite) {
             if (sqCount_ > 0)
                 --sqCount_;
+            assert(storeIndex_.front().seq == head.seq);
+            storeIndex_.pop_front();
             // Drain the store to the cache (tags only).
             if (head.uop.mem != MemMode::None)
                 mem_.access(head.addr);
@@ -692,6 +699,12 @@ OooCore::writebackStage()
             continue;
         RobEntry &entry = *ringEntry_[slot];
         entry.done = true;
+        // Wake every consumer parked on this result; they issue as
+        // early as this cycle. Runs before any of the early exits
+        // below.
+        for (RobEntry *w = entry.waitHead; w != nullptr; w = w->waitNext)
+            woken_.push_back(w);
+        entry.waitHead = nullptr;
         trace(TraceEvent::Complete, entry.seq, entry.pc,
               entry.uop.cls);
         if (entry.uop.effect == McodeEffect::WriteIcr) {
@@ -903,18 +916,26 @@ OooCore::rebuildRenameTable()
     iqCount_ = 0;
     lqCount_ = 0;
     sqCount_ = 0;
-    iqList_.clear();
+    // Wakeup lists may name squashed entries: drop them all and
+    // re-check every un-issued survivor next issue cycle (it simply
+    // parks again if its operand is still in flight).
+    issueCands_.clear();
+    woken_.clear();
+    storeIndex_.clear();
     for (auto &entry : rob_) {
+        entry.waitHead = nullptr;
         if (entry.uop.dest != reg::kNone)
             renameTable_[entry.uop.dest] = entry.seq;
         if (!entry.issued) {
             ++iqCount_;
-            iqList_.push_back(&entry);
+            issueCands_.push_back(&entry);
         }
         if (entry.uop.cls == OpClass::MemRead)
             ++lqCount_;
-        if (entry.uop.cls == OpClass::MemWrite)
+        if (entry.uop.cls == OpClass::MemWrite) {
             ++sqCount_;
+            storeIndex_.push_back(StoreRef{entry.seq, entry.addr});
+        }
     }
 }
 
@@ -928,88 +949,78 @@ OooCore::memAccessLatency(RobEntry &entry)
     if (entry.uop.mem == MemMode::Remote)
         return mem_.remoteAccess(entry.addr);
 
-    // Store-to-load forwarding from older in-flight stores.
-    if (sqCount_ > 0) {
-        for (auto it = rob_.rbegin(); it != rob_.rend(); ++it) {
-            if (it->seq >= entry.seq)
-                continue;
-            if (it->uop.cls == OpClass::MemWrite &&
-                it->addr == entry.addr)
-                return 2;
-        }
+    // Store-to-load forwarding from an older in-flight store. The
+    // index is age-ordered, so the scan stops at the load itself.
+    for (const StoreRef &s : storeIndex_) {
+        if (s.seq >= entry.seq)
+            break;
+        if (s.addr == entry.addr)
+            return 2;
     }
     return mem_.access(entry.addr);
 }
 
-bool
-OooCore::depReady(std::uint64_t dep) const
+OooCore::RobEntry *
+OooCore::pendingProducer(std::uint64_t dep) const
 {
     if (dep == 0)
-        return true;
+        return nullptr;
     std::size_t slot = dep & kRingMask;
-    // Slot reused by a much younger micro-op: the producer retired
-    // thousands of micro-ops ago, so the value is ready.
+    // Slot invalidated (producer retired) or long since reused by a
+    // younger micro-op: the value is ready.
     if (ringSeq_[slot] != dep)
-        return true;
-    return ringReadyAt_[slot] <= cycle_;
-}
-
-Cycles
-OooCore::depBound(std::uint64_t dep) const
-{
-    if (dep == 0)
-        return 0;
-    std::size_t slot = dep & kRingMask;
-    if (ringSeq_[slot] != dep)
-        return 0;  // producer retired (or slot long since reused)
-    Cycles ready = ringReadyAt_[slot];
-    if (ready != ~Cycles(0))
-        return ready;  // issued: completion cycle is exact
-    // Producer not issued yet: it cannot produce before its own
-    // dependencies resolve plus one cycle of execution — and never
-    // this cycle. Its notBefore may be stale-low, which only means
-    // we re-check sooner than strictly necessary — never later.
-    return std::max(ringEntry_[slot]->notBefore + 1, cycle_ + 1);
+        return nullptr;
+    RobEntry *producer = ringEntry_[slot];
+    return producer->done ? nullptr : producer;
 }
 
 void
 OooCore::issueStage()
 {
+    // Consumers woken by this cycle's writebacks rejoin the
+    // candidates in age order.
+    if (!woken_.empty()) {
+        auto by_seq = [](const RobEntry *a, const RobEntry *b) {
+            return a->seq < b->seq;
+        };
+        std::sort(woken_.begin(), woken_.end(), by_seq);
+        issueScratch_.clear();
+        std::merge(issueCands_.begin(), issueCands_.end(),
+                   woken_.begin(), woken_.end(),
+                   std::back_inserter(issueScratch_), by_seq);
+        issueCands_.swap(issueScratch_);
+        woken_.clear();
+    }
+
+    // Oldest first until the issue width is spent. An entry's
+    // decision depends only on its producers having written back,
+    // width, FU tokens and serialize-at-head, so skipping parked
+    // entries (whose producers have not) changes no decision.
     unsigned issued = 0;
     std::size_t kept = 0;
-    const std::size_t n = iqList_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        RobEntry *entry = iqList_[i];
+    std::size_t i = 0;
+    const std::size_t n = issueCands_.size();
+    for (; i < n && issued < params_.issueWidth; ++i) {
+        RobEntry *entry = issueCands_[i];
 
-        // Dependencies provably unready: one compare and move on.
-        if (entry->notBefore > cycle_) {
-            iqList_[kept++] = entry;
+        // Operand still in flight: park on its producer until the
+        // producer's writeback wakes this entry.
+        RobEntry *producer = pendingProducer(entry->dep1);
+        if (producer == nullptr)
+            producer = pendingProducer(entry->dep2);
+        if (producer != nullptr) {
+            entry->waitNext = producer->waitHead;
+            producer->waitHead = entry;
             continue;
         }
 
-        bool can = issued < params_.issueWidth;
-
-        // Serializing micro-ops issue only from the ROB head.
-        if (can && entry->uop.cls == OpClass::SerializeMsr &&
-            entry != &rob_.front())
-            can = false;
-
-        if (can) {
-            Cycles bound =
-                std::max(depBound(entry->dep1),
-                         depBound(entry->dep2));
-            if (bound > cycle_) {
-                entry->notBefore = bound;
-                can = false;
-            }
-        }
-
+        // Serializing micro-ops issue only from the ROB head, and
+        // every op needs a free unit of its pool this cycle.
         unsigned pool = fuPoolOf(entry->uop.cls);
-        if (can && fuTokens_[pool] == 0)
-            can = false;
-
-        if (!can) {
-            iqList_[kept++] = entry;
+        if ((entry->uop.cls == OpClass::SerializeMsr &&
+             entry != &rob_.front()) ||
+            fuTokens_[pool] == 0) {
+            issueCands_[kept++] = entry;
             continue;
         }
 
@@ -1027,13 +1038,16 @@ OooCore::issueStage()
         ++stats_.issuedUops;
         trace(TraceEvent::Issue, entry->seq, entry->pc,
               entry->uop.cls);
-        ringReadyAt_[entry->seq & kRingMask] = entry->readyAt;
         scheduleWriteback(entry->seq, entry->readyAt);
         if (iqCount_ > 0)
             --iqCount_;
         ++issued;
     }
-    iqList_.resize(kept);
+    // Drop the issued and parked entries; those past the width stop
+    // stay behind the kept ones, still in age order.
+    issueCands_.erase(
+        issueCands_.begin() + static_cast<std::ptrdiff_t>(kept),
+        issueCands_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 // ---------------------------------------------------------------------
@@ -1060,7 +1074,7 @@ OooCore::dispatchStage()
             sqCount_ >= params_.sqSize)
             break;
 
-        RobEntry entry = front;
+        RobEntry &entry = rob_.push_back(front);
         fetchBuffer_.pop_front();
         entry.readyAt = 0;
         entry.issued = false;
@@ -1079,20 +1093,17 @@ OooCore::dispatchStage()
         ++iqCount_;
         if (entry.uop.cls == OpClass::MemRead)
             ++lqCount_;
-        if (entry.uop.cls == OpClass::MemWrite)
+        if (entry.uop.cls == OpClass::MemWrite) {
             ++sqCount_;
-
-        entry.notBefore = 0;
+            storeIndex_.push_back(StoreRef{entry.seq, entry.addr});
+        }
 
         trace(TraceEvent::Dispatch, entry.seq, entry.pc,
               entry.uop.cls);
-        rob_.push_back(entry);
-        RobEntry &placed = rob_.back();
-        std::size_t slot = placed.seq & kRingMask;
-        ringSeq_[slot] = placed.seq;
-        ringReadyAt_[slot] = ~0ull;
-        ringEntry_[slot] = &placed;
-        iqList_.push_back(&placed);
+        std::size_t slot = entry.seq & kRingMask;
+        ringSeq_[slot] = entry.seq;
+        ringEntry_[slot] = &entry;
+        issueCands_.push_back(&entry);
     }
 }
 
@@ -1384,8 +1395,6 @@ OooCore::fetchStage()
         if (ffDrainPending_)
             break;
 
-        std::uint32_t before_stall_pc = fetchPc_;
-        (void)before_stall_pc;
         fetchProgramOp();
         --budget;
         if (frontendStallUntil_ > cycle_)
@@ -1453,7 +1462,7 @@ OooCore::fetchProgramOp()
         break;
     }
 
-    RobEntry entry;
+    RobEntry &entry = fetchBuffer_.emplace_back();
     entry.seq = nextSeq_++;
     entry.pc = pc;
     entry.nextPc = pc + 1;
@@ -1541,7 +1550,6 @@ OooCore::fetchProgramOp()
                 cycle_ + params_.takenBranchBubble);
         }
         entry.uop = u;
-        fetchBuffer_.push_back(entry);
         ++stats_.fetchedUops;
         return;
       }
@@ -1553,7 +1561,6 @@ OooCore::fetchProgramOp()
     entry.uop = u;
     fetchPc_ = pc + 1;
     trace(TraceEvent::Fetch, entry.seq, entry.pc, entry.uop.cls);
-    fetchBuffer_.push_back(entry);
     ++stats_.fetchedUops;
 }
 
@@ -1564,7 +1571,7 @@ OooCore::fetchUcodeUop()
     MicroOp u = ucodeQueue_.front();
     ucodeQueue_.pop_front();
 
-    RobEntry entry;
+    RobEntry &entry = fetchBuffer_.emplace_back();
     entry.seq = nextSeq_++;
     entry.pc = ucodeMacroPc_;
     entry.nextPc = ucodeNextPc_;
@@ -1587,7 +1594,6 @@ OooCore::fetchUcodeUop()
     }
 
     trace(TraceEvent::Fetch, entry.seq, entry.pc, entry.uop.cls);
-    fetchBuffer_.push_back(entry);
     ++stats_.fetchedUops;
 }
 

@@ -22,6 +22,7 @@
 #ifndef XUI_UARCH_OOO_CORE_HH
 #define XUI_UARCH_OOO_CORE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -122,6 +123,101 @@ struct CoreStats
     /** Closed fast-forward regions, in time order (mode-transition
      *  spans for the observability exporter). */
     std::vector<FfSpan> ffSpans;
+};
+
+/**
+ * Fixed-capacity FIFO over one up-front allocation (the ROB, the
+ * fetch buffer and the store index). It never allocates after
+ * construction, and an element keeps its address from push to pop,
+ * so raw pointers into live elements stay valid.
+ */
+template <class T>
+class FixedRing
+{
+  public:
+    explicit FixedRing(std::size_t capacity) : buf_(capacity) {}
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t capacity() const { return buf_.size(); }
+
+    /** The i-th oldest element. */
+    T &operator[](std::size_t i) { return buf_[slot(i)]; }
+    const T &operator[](std::size_t i) const { return buf_[slot(i)]; }
+    T &front() { return (*this)[0]; }
+    T &back() { return (*this)[size_ - 1]; }
+
+    /** Append a copy of `v` in place; returns the stored element. */
+    T &
+    push_back(const T &v)
+    {
+        assert(size_ < buf_.size());
+        T &e = buf_[slot(size_++)];
+        e = v;
+        return e;
+    }
+
+    /** Append a default-valued element; returns it for filling. */
+    T &emplace_back() { return push_back(T{}); }
+
+    void
+    pop_front()
+    {
+        assert(size_ > 0);
+        head_ = slot(1);
+        --size_;
+    }
+
+    void
+    pop_back()
+    {
+        assert(size_ > 0);
+        --size_;
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+    /** Oldest-to-youngest iteration (range-for only). */
+    template <class Ring, class V>
+    class Iter
+    {
+      public:
+        Iter(Ring *ring, std::size_t i) : ring_(ring), i_(i) {}
+        V &operator*() const { return (*ring_)[i_]; }
+        Iter &
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator!=(const Iter &o) const { return i_ != o.i_; }
+
+      private:
+        Ring *ring_;
+        std::size_t i_;
+    };
+
+    Iter<FixedRing, T> begin() { return {this, 0}; }
+    Iter<FixedRing, T> end() { return {this, size_}; }
+    Iter<const FixedRing, const T> begin() const { return {this, 0}; }
+    Iter<const FixedRing, const T> end() const { return {this, size_}; }
+
+  private:
+    std::size_t
+    slot(std::size_t i) const
+    {
+        std::size_t s = head_ + i;
+        return s >= buf_.size() ? s - buf_.size() : s;
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 /** The out-of-order core. */
@@ -283,8 +379,9 @@ class OooCore
     /**
      * Restore from a payload produced by saveState() on a core
      * constructed with the same (params, program, id). Derived
-     * structures (rename table, readiness ring, completion wheel,
-     * IQ list) are rebuilt rather than deserialized.
+     * structures (rename table, producer ring, completion wheel,
+     * issue candidates, store index) are rebuilt rather than
+     * deserialized.
      * @return false on malformed or mismatched data (the core is
      *         then unusable and must be discarded).
      */
@@ -321,13 +418,21 @@ class OooCore
         std::uint64_t dep1 = 0;
         std::uint64_t dep2 = 0;
         /**
-         * Lower bound on the first cycle this entry's dependencies
-         * can all be ready. The issue scan skips the entry with one
-         * compare until then; the bound is refreshed whenever a
-         * dependency check fails, so skipping never delays an issue
-         * (a dep ready at cycle c yields a bound <= c).
+         * Intrusive wakeup list (never serialized). An un-issued
+         * entry whose operand is still in flight parks on that
+         * producer: it is pushed on the producer's waitHead list,
+         * linked through waitNext, until the producer's writeback
+         * wakes it. rebuildRenameTable() empties every list.
          */
-        Cycles notBefore = 0;
+        RobEntry *waitHead = nullptr;
+        RobEntry *waitNext = nullptr;
+    };
+
+    /** An in-flight store in the store index. */
+    struct StoreRef
+    {
+        std::uint64_t seq = 0;
+        std::uint64_t addr = 0;
     };
 
     static constexpr std::uint32_t kUcodePc = 0xffffffff;
@@ -371,9 +476,9 @@ class OooCore
     /** Rebuild ring + completion wheel from rob_ after loadState. */
     void rebuildExecStructures();
     void applyCommitEffect(const RobEntry &entry);
-    bool depReady(std::uint64_t dep) const;
-    /** Earliest cycle `dep` can be ready (0 when ready now). */
-    Cycles depBound(std::uint64_t dep) const;
+    /** The in-flight producer of `dep` that has not written back
+     *  yet, or nullptr when the value is available. */
+    RobEntry *pendingProducer(std::uint64_t dep) const;
     /** Enqueue a just-issued micro-op for writeback at readyAt. */
     void scheduleWriteback(std::uint64_t seq, Cycles ready_at);
     /** Drop `seq`'s ring slot when it leaves the ROB. */
@@ -474,25 +579,37 @@ class OooCore
     std::uint32_t resumePc_ = 0;
     std::uint32_t lastCommittedNextPc_ = 0;
 
+    /** Max micro-ops buffered between fetch and dispatch. */
+    static constexpr std::size_t kFetchBufferCap = 48;
+
     // Fetch buffer: fetched micro-ops in flight to dispatch.
-    std::deque<RobEntry> fetchBuffer_;
+    FixedRing<RobEntry> fetchBuffer_;
 
     // Backend.
-    std::deque<RobEntry> rob_;
-    std::vector<RobEntry *> iqList_;
+    FixedRing<RobEntry> rob_;
+    /**
+     * Issue candidates, in age order: un-issued entries that were
+     * just dispatched, just woken, or held back last cycle by issue
+     * width, FU tokens or serialize-at-head. Un-issued entries not
+     * listed here are parked on a producer's wakeup list.
+     */
+    std::vector<RobEntry *> issueCands_;
+    /** Entries whose producer wrote back this cycle (unordered). */
+    std::vector<RobEntry *> woken_;
+    std::vector<RobEntry *> issueScratch_;
+    /** Every MemWrite in the ROB, oldest first (forwarding scan). */
+    FixedRing<StoreRef> storeIndex_;
     std::vector<std::uint64_t> renameTable_;
     std::vector<std::uint64_t> execCount_;
 
-    // Producer readiness ring, indexed by seq & kRingMask. Avoids a
-    // hash lookup per dependency per cycle. ringEntry_ additionally
-    // resolves a live seq to its ROB entry (deque elements are
-    // pointer-stable); slots are invalidated (ringSeq_ = 0) when the
-    // entry commits or is squashed, so a matching slot always points
-    // at an in-flight entry.
+    // Producer ring, indexed by seq & kRingMask. Avoids a hash lookup
+    // per dependency: ringEntry_ resolves a live seq to its ROB entry
+    // (ring elements are pointer-stable); slots are invalidated
+    // (ringSeq_ = 0) when the entry commits or is squashed, so a
+    // matching slot always points at an in-flight entry.
     static constexpr std::size_t kRingSize = 1 << 14;
     static constexpr std::uint64_t kRingMask = kRingSize - 1;
     std::vector<std::uint64_t> ringSeq_;
-    std::vector<Cycles> ringReadyAt_;
     std::vector<RobEntry *> ringEntry_;
 
     // Completion wheel: bucket per cycle of the seqs whose execution
@@ -506,9 +623,6 @@ class OooCore
     std::vector<std::vector<std::uint64_t>> wbWheel_;
     std::vector<std::uint64_t> farWb_;
     std::vector<std::uint64_t> wbScratch_;
-
-    /** Max micro-ops buffered between fetch and dispatch. */
-    static constexpr std::size_t kFetchBufferCap = 48;
 
     // Occupancy counters (recomputed after squashes).
     unsigned iqCount_ = 0;

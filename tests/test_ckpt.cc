@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "obs/metrics.hh"
 #include "os/cost_model.hh"
 #include "os/kernel.hh"
+#include "uarch/ooo_core.hh"
 #include "verify/roundtrip.hh"
 #include "verify/scenario_run.hh"
 
@@ -143,6 +145,107 @@ TEST(SnapshotFile, ProvenanceMismatchRefusedUnlessWaived)
               ckpt::LoadStatus::Ok);
     EXPECT_EQ(out.payload, "p");
     std::filesystem::remove(path);
+}
+
+namespace
+{
+
+std::uint64_t
+readU64(const std::string &s, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= std::uint64_t(static_cast<unsigned char>(s[off + i]))
+             << (8 * i);
+    return v;
+}
+
+void
+appendU64(std::string &s, std::uint64_t v)
+{
+    ckpt::Writer w;
+    w.u64(v);
+    s += w.data();
+}
+
+} // namespace
+
+TEST(CoreSnapshot, RingCountsAboveCapacityRejected)
+{
+    // The ROB and the fetch buffer are fixed-capacity rings, so a
+    // payload naming more entries than the restoring core can hold
+    // (params.robSize, fetch-buffer cap 48) is malformed. The spliced
+    // streams below are otherwise well-formed, so only the count
+    // check can refuse them.
+    ProgramBuilder b("alu");
+    std::uint32_t top = b.here();
+    for (unsigned i = 0; i < 6; ++i)
+        b.intAlu(static_cast<std::uint8_t>(reg::kGpr0 + i),
+                 static_cast<std::uint8_t>(reg::kGpr0 + i));
+    b.jump(top);
+    const Program prog = b.build();
+    CoreParams params;
+    params.robSize = 8;
+    params.mem.llcSize = 1 << 20;  // keep the payload small
+    auto fresh = [&] {
+        return std::make_unique<OooCore>(0, params, &prog, Rng(7));
+    };
+    auto payload = [](const OooCore &core) {
+        ckpt::Writer w;
+        core.saveState(w);
+        return w.data();
+    };
+    auto loads = [&](const std::string &bytes) {
+        ckpt::Reader r(bytes);
+        return fresh()->loadState(r);
+    };
+
+    // An untouched core has both rings empty, so its (fetch, ROB)
+    // count pair directly precedes execCount_, which this program
+    // never advances: u64(size) then size zero words, then the empty
+    // IPI inbox.
+    const std::string p0 = payload(*fresh());
+    const std::string zeros((prog.size() + 1) * 8, '\0');
+    std::string exec_count;
+    appendU64(exec_count, prog.size());
+    exec_count += zeros;
+    const std::size_t at = p0.rfind(exec_count);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_GE(at, 16u);
+    const std::size_t fetch_off = at - 16;
+    ASSERT_EQ(readU64(p0, fetch_off), 0u);
+    ASSERT_EQ(readU64(p0, fetch_off + 8), 0u);
+
+    // One tick fetches micro-ops that cannot dispatch yet (frontend
+    // depth), so that payload differs in length only by them.
+    std::unique_ptr<OooCore> c1 = fresh();
+    c1->tick();
+    const std::size_t f = c1->fetchBufferDepth();
+    ASSERT_GT(f, 0u);
+    ASSERT_EQ(c1->robOccupancy(), 0u);
+    const std::string p1 = payload(*c1);
+    ASSERT_EQ(readU64(p1, fetch_off), f);
+    ASSERT_EQ((p1.size() - p0.size()) % f, 0u);
+    const std::size_t entry_len = (p1.size() - p0.size()) / f;
+    ASSERT_EQ(readU64(p1, fetch_off + 8 + f * entry_len), 0u);
+    const std::string entry = p1.substr(fetch_off + 8, entry_len);
+    const std::string tail = p1.substr(fetch_off + 16 + f * entry_len);
+
+    auto splice = [&](std::size_t fetch_n, std::size_t rob_n) {
+        std::string s = p1.substr(0, fetch_off);
+        appendU64(s, fetch_n);
+        for (std::size_t i = 0; i < fetch_n; ++i)
+            s += entry;
+        appendU64(s, rob_n);
+        for (std::size_t i = 0; i < rob_n; ++i)
+            s += entry;
+        return s + tail;
+    };
+    ASSERT_EQ(splice(f, 0).size(), p1.size());
+    EXPECT_TRUE(loads(p1));
+    EXPECT_TRUE(loads(splice(48, params.robSize)));
+    EXPECT_FALSE(loads(splice(49, 0)));
+    EXPECT_FALSE(loads(splice(0, params.robSize + 1)));
 }
 
 // ----- restore-under-fault: every CheckpointWrite action ------------

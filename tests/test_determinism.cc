@@ -173,8 +173,9 @@ TEST(SimulationDeterminism, MakeRngStreamsReproducible)
 //
 // The rows below were captured from the fuzz-scenario runner
 // before the simulator hot-path overhaul (calendar event queue,
-// writeback wheel, notBefore issue skip, run-to-next-wakeup) and
-// re-verified bit-identical after it. They pin the full timing
+// writeback wheel, run-to-next-wakeup) and re-verified
+// bit-identical after it and after the issue wakeup lists,
+// in-flight store index and fixed ROB ring. They pin the full timing
 // digest (every trace event with its cycle), the architectural
 // digest (program-commit PC stream), the event count and the
 // interrupt/commit/cycle totals for 32 seeds under all three

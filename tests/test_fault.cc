@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "des/simulation.hh"
@@ -1028,6 +1029,48 @@ TEST(Chaos, FfBoundaryCellsPassAndExerciseTransitions)
     EXPECT_GT(injected, 0u);
     EXPECT_GT(entries, 0u);
     EXPECT_GT(dropped, 0u);
+}
+
+TEST(Chaos, FfBoundaryPinnedOnlyEntryIsNotAFailure)
+{
+    // Regression: a Delay at the first entry consult pins detail over
+    // the cell's only FF-eligible window, so fast-forward legitimately
+    // never engages. The entry was attempted, so the boundary was
+    // exercised; these replays once reported "never engaged".
+    const std::pair<std::uint64_t, const char *> replays[] = {
+        {735, "ff_transition:0:delay:3975"},
+        {882, "ff_transition:0:delay:4013"},
+    };
+    for (const auto &[seed, text] : replays) {
+        chaos::CellConfig cc;
+        cc.kind = chaos::ScenarioKind::FfBoundary;
+        cc.seed = seed;
+        ASSERT_TRUE(fault::Schedule::decode(text, cc.schedule));
+        chaos::CellResult r = chaos::runCell(cc);
+        EXPECT_TRUE(r.passed)
+            << "seed " << seed << ": "
+            << (r.violations.empty() ? "?" : r.violations[0]);
+        EXPECT_EQ(r.ffEntries, 0u) << "seed " << seed;
+        EXPECT_EQ(r.injected, 1u) << "seed " << seed;
+    }
+}
+
+TEST(Chaos, FfBoundaryNoEntryAttemptStillFails)
+{
+    // Negative control: a horizon too short for the pipeline to drain
+    // reaches no entry consult at all, which must still be reported.
+    chaos::CellConfig cc;
+    cc.kind = chaos::ScenarioKind::FfBoundary;
+    cc.seed = 735;
+    cc.horizon = 16;
+    chaos::CellResult r = chaos::runCell(cc);
+    EXPECT_FALSE(r.passed);
+    EXPECT_EQ(r.ffEntries, 0u);
+    bool reported = false;
+    for (const std::string &v : r.violations)
+        reported |= v.find("fast-forward never engaged") !=
+                    std::string::npos;
+    EXPECT_TRUE(reported);
 }
 
 TEST(Chaos, ShrunkFfBoundaryReproReplaysBitIdentically)

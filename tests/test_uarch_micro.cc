@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "uarch/uarch_system.hh"
 #include "workloads/kernels.hh"
 
@@ -63,6 +66,138 @@ TEST(MicroArch, StoreForwardingBeatsCacheMiss)
     Cycles forwarded = runProg(make(true), 20000);
     Cycles missing = runProg(m.build(), 20000);
     EXPECT_LT(forwarded * 2, missing);
+}
+
+namespace
+{
+
+/** Per pc: last dispatch cycle, issue cycle and issue-to-complete
+ *  latency of the last completed instance; plus every squash cycle. */
+class LatencyTracer : public Tracer
+{
+  public:
+    void
+    event(TraceEvent ev, Cycles cycle, std::uint64_t seq,
+          std::uint32_t pc, OpClass) override
+    {
+        if (ev == TraceEvent::Issue)
+            issuedAt_[seq] = cycle;
+        if (ev == TraceEvent::Complete && issuedAt_.count(seq)) {
+            latency[pc] = cycle - issuedAt_[seq];
+            issueCycle[pc] = issuedAt_[seq];
+        }
+        if (ev == TraceEvent::Dispatch)
+            dispatchCycle[pc] = cycle;
+        if (ev == TraceEvent::Squash)
+            squashes.push_back(cycle);
+    }
+
+    std::map<std::uint32_t, Cycles> latency;
+    std::map<std::uint32_t, Cycles> issueCycle;
+    std::map<std::uint32_t, Cycles> dispatchCycle;
+    std::vector<Cycles> squashes;
+
+  private:
+    std::map<std::uint64_t, Cycles> issuedAt_;
+};
+
+/** Run `p` to its halt with a LatencyTracer attached. */
+LatencyTracer
+traceToHalt(Program p)
+{
+    UarchSystem sys(3);
+    OooCore &core = sys.addCore(CoreParams{}, &p);
+    LatencyTracer t;
+    core.setTracer(&t);
+    core.runCycles(4000);
+    EXPECT_TRUE(core.halted());
+    return t;
+}
+
+AddrPattern
+fixedAddr(std::uint64_t base)
+{
+    AddrPattern a;
+    a.kind = AddrKind::Fixed;
+    a.base = base;
+    return a;
+}
+
+} // namespace
+
+TEST(MicroArch, YoungerStoreNeverForwardsToOlderLoad)
+{
+    // The load's address operand comes from a cold miss, so it issues
+    // long after the younger store to the same line is in flight. It
+    // must still go to memory; with the store ahead of it in program
+    // order, the same load forwards in 2 cycles.
+    const AddrPattern slow = fixedAddr(0xa000'0000ull);
+    const AddrPattern same = fixedAddr(0x9000'0000ull);
+    auto make = [&](bool store_first) {
+        ProgramBuilder b("younger_store");
+        b.load(reg::kGpr0 + 1, slow);
+        if (store_first)
+            b.store(reg::kGpr0 + 3, same);
+        b.load(reg::kGpr0 + 2, same, reg::kGpr0 + 1);
+        if (!store_first)
+            b.store(reg::kGpr0 + 3, same);
+        b.halt();
+        return b.build();
+    };
+
+    LatencyTracer older = traceToHalt(make(false));
+    const std::uint32_t load_pc = 1;
+    const std::uint32_t store_pc = 2;
+    ASSERT_TRUE(older.latency.count(load_pc));
+    ASSERT_TRUE(older.dispatchCycle.count(store_pc));
+    EXPECT_LT(older.dispatchCycle[store_pc], older.issueCycle[load_pc]);
+    EXPECT_GT(older.latency[load_pc], 2u);
+
+    LatencyTracer younger = traceToHalt(make(true));
+    EXPECT_EQ(younger.latency[2], 2u);
+}
+
+TEST(MicroArch, SquashedWrongPathStoreStopsForwarding)
+{
+    // The branch waits on a cold miss and is taken, but the fresh
+    // predictor says not-taken: the fall-through store to A is
+    // fetched, dispatched and issued on the wrong path. After the
+    // squash, the correct-path load of A must go to memory. With the
+    // store on the correct path instead, it forwards in 2 cycles.
+    const AddrPattern slow = fixedAddr(0xa000'0000ull);
+    const AddrPattern a = fixedAddr(0x9000'0000ull);
+    auto make = [&](bool store_on_correct_path) {
+        ProgramBuilder b("wrong_path_store");
+        b.load(reg::kGpr0 + 1, slow);                 // pc 0
+        MacroOp br;
+        br.opcode = MacroOpcode::Branch;
+        br.src1 = reg::kGpr0 + 1;
+        br.target = 4;
+        br.branch.kind = BranchKind::Random;
+        br.branch.probability = 1.0;
+        b.append(br);                                 // pc 1
+        b.store(reg::kGpr0 + 3, a);                   // pc 2 (wrong)
+        b.halt();                                     // pc 3
+        if (store_on_correct_path)
+            b.store(reg::kGpr0 + 3, a);               // pc 4
+        else
+            b.nop();                                  // pc 4
+        b.load(reg::kGpr0 + 2, a);                    // pc 5
+        b.halt();
+        return b.build();
+    };
+    const std::uint32_t load_pc = 5;
+
+    LatencyTracer squashed = traceToHalt(make(false));
+    ASSERT_EQ(squashed.squashes.size(), 1u);
+    ASSERT_TRUE(squashed.issueCycle.count(2));
+    EXPECT_LT(squashed.issueCycle[2], squashed.squashes[0]);
+    ASSERT_TRUE(squashed.latency.count(load_pc));
+    EXPECT_GT(squashed.issueCycle[load_pc], squashed.squashes[0]);
+    EXPECT_GT(squashed.latency[load_pc], 2u);
+
+    LatencyTracer kept = traceToHalt(make(true));
+    EXPECT_EQ(kept.latency[load_pc], 2u);
 }
 
 TEST(MicroArch, MultUnitContention)
