@@ -1,22 +1,36 @@
 /**
  * @file
- * Byte codec for the snapshot engine: a little-endian, bounds-checked
- * Writer/Reader pair every serializable component implements
- * `save(Writer &)` / `load(Reader &)` against.
+ * Byte codec for the snapshot engine: two archives, Writer and
+ * Reader, with the same verbs, so a checkpointed component lists its
+ * fields once in a single member template
+ *
+ *     template <class Ar> void visit(Ar &ar)
+ *     {
+ *         ar.u64(cycle_);
+ *         ar.enumU8(mode_, Mode::Last);
+ *         ar.seq(records_, Record::kCkptBytes);
+ *     }
+ *
+ * and the same code saves (Writer copies each field out) and loads
+ * (Reader copies it back in). The visit order is the format; save and
+ * load cannot drift apart because there is only one of them.
  *
  * Header-only and dependency-free on purpose: uarch/intr/verify
  * components include it without linking the snapshot file engine, so
  * the layering (ckpt's file code sits above fault, which sits above
- * des) stays acyclic.
+ * des) stays acyclic. Leaf types below uarch (Rng, Fnv1a, Bitset256,
+ * the intr registers) do not include it at all: their visit() is a
+ * template over any archive.
  *
  * The format is deliberately dumb — fixed-width little-endian
- * integers, length-prefixed byte strings, no varints, no field tags.
+ * integers, length-prefixed sequences, no varints, no field tags.
  * Crash consistency and corruption detection live a layer up
  * (snapshot.hh: content digest + format version in the file header),
  * so the codec only has to be unambiguous and bounds-safe: every
- * Reader getter fails sticky on underrun instead of reading past the
- * buffer, which is what makes feeding it a torn or bit-flipped
- * payload safe.
+ * Reader verb fails sticky on underrun or on a value the live state
+ * could not hold, and then leaves its target untouched. A visit over
+ * a torn or bit-flipped payload therefore runs to its end without
+ * reading past the buffer, and the caller checks ok() once.
  */
 
 #ifndef XUI_CKPT_CODEC_HH
@@ -25,12 +39,26 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 namespace xui::ckpt
 {
 
-/** Append-only little-endian byte sink. */
+/** Sequence verb's default: no capacity limit beyond the bytes. */
+constexpr std::size_t kNoCap = ~std::size_t(0);
+
+/** One sequence element: a 32-bit word or a visit()-able type. */
+template <class Ar, class T>
+void
+visitItem(Ar &ar, T &item)
+{
+    if constexpr (std::is_same_v<T, std::uint32_t>)
+        ar.u32(item);
+    else
+        item.visit(ar);
+}
+
+/** Append-only little-endian byte sink (the save archive). */
 class Writer
 {
   public:
@@ -41,27 +69,40 @@ class Writer
 
     void b(bool v) { u8(v ? 1 : 0); }
 
-    void u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    void u16(std::uint16_t v) { le(v); }
+    void u32(std::uint32_t v) { le(v); }
+    void u64(std::uint64_t v) { le(v); }
 
     void bytes(const void *data, std::size_t n)
     {
         out_.append(static_cast<const char *>(data), n);
+    }
+
+    /** One-byte enum (or small code) no greater than `last`. */
+    template <class E>
+    void enumU8(E v, E /* last */)
+    {
+        u8(static_cast<std::uint8_t>(v));
+    }
+
+    /** Identity guard or fixed size the loader must find again. */
+    void expect(std::uint32_t v) { u32(v); }
+    void expect(std::uint64_t v) { u64(v); }
+
+    /** Load-side validation; the live state always satisfies it. */
+    void require(bool) {}
+
+    /**
+     * Count, then each element. `minBytes` and `cap` bound the count
+     * on load only (see Reader::seq).
+     */
+    template <class C>
+    void seq(C &c, std::size_t /* minBytes */,
+             std::size_t /* cap */ = kNoCap)
+    {
+        u64(c.size());
+        for (auto &item : c)
+            visitItem(*this, item);
     }
 
     /** Length-prefixed string. */
@@ -71,23 +112,23 @@ class Writer
         out_.append(s);
     }
 
-    /** Length-prefixed vector of 64-bit words. */
-    void vecU64(const std::vector<std::uint64_t> &v)
-    {
-        u64(v.size());
-        for (std::uint64_t x : v)
-            u64(x);
-    }
-
     const std::string &data() const { return out_; }
     std::string take() { return std::move(out_); }
     std::size_t size() const { return out_.size(); }
 
   private:
+    template <class T>
+    void le(T v)
+    {
+        for (unsigned i = 0; i < sizeof(T); ++i)
+            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
     std::string out_;
 };
 
-/** Bounds-checked reader over a byte buffer (not owned). */
+/** Bounds-checked reader over a byte buffer, not owned (the load
+ *  archive). */
 class Reader
 {
   public:
@@ -114,41 +155,9 @@ class Reader
         return true;
     }
 
-    bool u16(std::uint16_t &v)
-    {
-        if (!need(2))
-            return false;
-        v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(
-                     static_cast<std::uint8_t>(p_[pos_++]))
-                 << (8 * i);
-        return true;
-    }
-
-    bool u32(std::uint32_t &v)
-    {
-        if (!need(4))
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(p_[pos_++]))
-                 << (8 * i);
-        return true;
-    }
-
-    bool u64(std::uint64_t &v)
-    {
-        if (!need(8))
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(p_[pos_++]))
-                 << (8 * i);
-        return true;
-    }
+    bool u16(std::uint16_t &v) { return le(v); }
+    bool u32(std::uint32_t &v) { return le(v); }
+    bool u64(std::uint64_t &v) { return le(v); }
 
     bool bytes(void *out, std::size_t n)
     {
@@ -159,6 +168,44 @@ class Reader
         return true;
     }
 
+    /** One-byte enum (or small code); values past `last` fail. */
+    template <class E>
+    bool enumU8(E &v, E last)
+    {
+        std::uint8_t raw = 0;
+        if (!u8(raw) || raw > static_cast<std::uint8_t>(last))
+            return fail();
+        v = static_cast<E>(raw);
+        return true;
+    }
+
+    /** Read a guard word; anything but `v` fails. */
+    bool expect(std::uint32_t v) { return expectLe(v); }
+    bool expect(std::uint64_t v) { return expectLe(v); }
+
+    /** Fail the stream unless a loaded value is one the live state
+     *  could hold. */
+    bool require(bool cond) { return cond || fail(); }
+
+    /**
+     * Read a count, bound it, then clear `c` and emplace and visit
+     * each element. A count above `cap` (a fixed-capacity ring), or
+     * one whose elements of at least `minBytes` each could not fit in
+     * the bytes left, is a corrupt stream, not an allocation request:
+     * it fails before anything is allocated.
+     */
+    template <class C>
+    bool seq(C &c, std::size_t minBytes, std::size_t cap = kNoCap)
+    {
+        std::uint64_t n = 0;
+        if (!u64(n) || n > cap || n > remaining() / minBytes)
+            return fail();
+        c.clear();
+        for (std::uint64_t i = 0; i < n && ok_; ++i)
+            visitItem(*this, c.emplace_back());
+        return ok_;
+    }
+
     bool str(std::string &s)
     {
         std::uint64_t len = 0;
@@ -166,20 +213,6 @@ class Reader
             return fail();
         s.assign(p_ + pos_, static_cast<std::size_t>(len));
         pos_ += static_cast<std::size_t>(len);
-        return true;
-    }
-
-    bool vecU64(std::vector<std::uint64_t> &v)
-    {
-        std::uint64_t len = 0;
-        // Each element costs 8 bytes; an impossible length is a
-        // corrupt stream, not an allocation request.
-        if (!u64(len) || len > (n_ - pos_) / 8)
-            return fail();
-        v.resize(static_cast<std::size_t>(len));
-        for (auto &x : v)
-            if (!u64(x))
-                return false;
         return true;
     }
 
@@ -202,6 +235,27 @@ class Reader
         if (!ok_ || n_ - pos_ < n)
             return fail();
         return true;
+    }
+
+    template <class T>
+    bool le(T &v)
+    {
+        if (!need(sizeof(T)))
+            return false;
+        T x = 0;
+        for (unsigned i = 0; i < sizeof(T); ++i)
+            x |= static_cast<T>(
+                static_cast<T>(static_cast<std::uint8_t>(p_[pos_++]))
+                << (8 * i));
+        v = x;
+        return true;
+    }
+
+    template <class T>
+    bool expectLe(T v)
+    {
+        T got = 0;
+        return le(got) && (got == v || fail());
     }
 
     const char *p_;

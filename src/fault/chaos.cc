@@ -677,6 +677,21 @@ struct CkptState
     std::uint64_t coalescedSatisfied = 0;
     std::uint64_t handlerRuns = 0;
     std::uint64_t consults[fault::kNumSites] = {};
+
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        ar.u64(now);
+        ar.u64(fired);
+        ar.u64(posted);
+        ar.u64(delivered);
+        ar.u64(abandoned);
+        ar.u64(spuriousScans);
+        ar.u64(coalescedSatisfied);
+        ar.u64(handlerRuns);
+        for (std::uint64_t &c : consults)
+            ar.u64(c);
+    }
 };
 
 CkptState
@@ -725,20 +740,11 @@ ckptStateDigest(const CkptState &s)
 }
 
 std::string
-encodeCkptState(const CkptState &s)
+encodeCkptState(CkptState s)
 {
     ckpt::Writer w;
     w.u64(ckptStateDigest(s));
-    w.u64(s.now);
-    w.u64(s.fired);
-    w.u64(s.posted);
-    w.u64(s.delivered);
-    w.u64(s.abandoned);
-    w.u64(s.spuriousScans);
-    w.u64(s.coalescedSatisfied);
-    w.u64(s.handlerRuns);
-    for (std::size_t i = 0; i < fault::kNumSites; ++i)
-        w.u64(s.consults[i]);
+    s.visit(w);
     return w.take();
 }
 
@@ -748,16 +754,12 @@ decodeCkptState(const std::string &payload, CkptState &out,
 {
     ckpt::Reader r(payload);
     CkptState s;
-    if (!r.u64(digest) || !r.u64(s.now) || !r.u64(s.fired) ||
-        !r.u64(s.posted) || !r.u64(s.delivered) ||
-        !r.u64(s.abandoned) || !r.u64(s.spuriousScans) ||
-        !r.u64(s.coalescedSatisfied) || !r.u64(s.handlerRuns))
+    r.u64(digest);
+    s.visit(r);
+    if (!r.ok() || !r.atEnd())
         return false;
-    for (std::size_t i = 0; i < fault::kNumSites; ++i)
-        if (!r.u64(s.consults[i]))
-            return false;
     out = s;
-    return r.ok();
+    return true;
 }
 
 /**

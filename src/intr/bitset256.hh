@@ -59,8 +59,13 @@ class Bitset256
     /** Raw 64-bit word access (word 0 = vectors 0-63). */
     std::uint64_t word(unsigned i) const { return words_[i]; }
 
-    /** Raw word write, for checkpoint restore. */
-    void setWord(unsigned i, std::uint64_t v) { words_[i] = v; }
+    /** Checkpoint archive visit (ckpt/codec.hh): the four words. */
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        for (std::uint64_t &w : words_)
+            ar.u64(w);
+    }
 
   private:
     std::array<std::uint64_t, 4> words_;

@@ -46,8 +46,12 @@ class Dupid
 
     const Bitset256 &pending() const { return pending_; }
 
-    /** Raw restore, for checkpoint load. */
-    void loadPending(const Bitset256 &pending) { pending_ = pending; }
+    /** Checkpoint archive visit (ckpt/codec.hh). */
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        pending_.visit(ar);
+    }
 
   private:
     Bitset256 pending_;
@@ -110,13 +114,14 @@ class ForwardingUnit
     /** Clear a specific UIRR bit. */
     void clearUirr(unsigned vector) { uirr_.clear(vector); }
 
-    /** Raw restore of all three registers, for checkpoint load. */
-    void loadRegisters(const Bitset256 &enabled,
-                       const Bitset256 &active, const Bitset256 &uirr)
+    /** Checkpoint archive visit (ckpt/codec.hh): all three
+     *  registers, raw. */
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        enabled_ = enabled;
-        active_ = active;
-        uirr_ = uirr;
+        enabled_.visit(ar);
+        active_.visit(ar);
+        uirr_.visit(ar);
     }
 
   private:

@@ -116,19 +116,19 @@ class KbTimer
     bool restore(const KbTimerSave &save, Cycles now);
 
     /**
-     * Raw state restore for checkpoint load. Unlike restore(), this
-     * applies no missed-deadline policy — the bits come back exactly
-     * as they were saved.
+     * Checkpoint archive visit (ckpt/codec.hh). Unlike restore(),
+     * loading applies no missed-deadline policy — the bits come back
+     * exactly as they were saved.
      */
-    void loadRawState(bool enabled, std::uint8_t vector, bool armed,
-                      KbTimerMode mode, Cycles deadline, Cycles period)
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        enabled_ = enabled;
-        vector_ = vector;
-        armed_ = armed;
-        mode_ = mode;
-        deadline_ = deadline;
-        period_ = period;
+        ar.b(enabled_);
+        ar.u8(vector_);
+        ar.b(armed_);
+        ar.enumU8(mode_, KbTimerMode::Periodic);
+        ar.u64(deadline_);
+        ar.u64(period_);
     }
 
   private:

@@ -85,15 +85,16 @@ class Upid
     /** Clear ON (done during notification processing). */
     void clearOutstanding() { setOutstanding(false); }
 
-    /** Raw words for layout validation. */
+    /** Raw low word (ON/SN/NV/NDST) for layout validation; pir()
+     *  is the high word. */
     std::uint64_t rawLow() const { return low_; }
-    std::uint64_t rawPir() const { return pir_; }
 
-    /** Raw word restore, for checkpoint load. */
-    void loadRaw(std::uint64_t low, std::uint64_t pir)
+    /** Checkpoint archive visit (ckpt/codec.hh): the raw words. */
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        low_ = low;
-        pir_ = pir;
+        ar.u64(low_);
+        ar.u64(pir_);
     }
 
   private:

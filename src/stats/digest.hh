@@ -57,14 +57,15 @@ class Fnv1a
     }
 
     /**
-     * Restore a mid-stream state captured by a snapshot. FNV-1a's
-     * whole state is (hash, byte count), so resuming from these two
-     * words continues the stream exactly where it left off.
+     * Checkpoint archive visit (ckpt/codec.hh). FNV-1a's whole state
+     * is (hash, byte count), so restoring these two words continues
+     * the stream exactly where it left off.
      */
-    void restore(std::uint64_t hash, std::uint64_t bytes)
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        hash_ = hash;
-        bytes_ = bytes;
+        ar.u64(hash_);
+        ar.u64(bytes_);
     }
 
   private:

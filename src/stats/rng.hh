@@ -63,12 +63,16 @@ class Rng
     Rng split();
 
     /**
-     * Raw xoshiro256** state, for checkpoint save/restore. The four
+     * Checkpoint archive visit (ckpt/codec.hh). The four xoshiro256**
      * words ARE the complete generator state; restoring them resumes
      * the stream bit-exactly.
      */
-    std::uint64_t stateWord(unsigned i) const { return s_[i]; }
-    void setStateWord(unsigned i, std::uint64_t v) { s_[i] = v; }
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        for (std::uint64_t &w : s_)
+            ar.u64(w);
+    }
 
   private:
     std::uint64_t s_[4];

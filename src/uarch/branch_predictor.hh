@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/codec.hh"
-
 namespace xui
 {
 
@@ -50,25 +48,16 @@ class BranchPredictor
     std::uint64_t lookups() const { return lookups_; }
     std::uint64_t mispredicts() const { return mispredicts_; }
 
-    /** Checkpoint the PHT, history, and counters (masks are
-     *  constructor-derived and validated by table size). */
-    void saveState(ckpt::Writer &w) const
+    /** Checkpoint archive visit of the PHT, history, and counters
+     *  (masks are constructor-derived; the table size is a guard). */
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        w.u64(table_.size());
-        w.bytes(table_.data(), table_.size());
-        w.u64(history_);
-        w.u64(lookups_);
-        w.u64(mispredicts_);
-    }
-
-    bool loadState(ckpt::Reader &r)
-    {
-        std::uint64_t n = 0;
-        if (!r.u64(n) || n != table_.size())
-            return r.fail();
-        return r.bytes(table_.data(), table_.size()) &&
-               r.u64(history_) && r.u64(lookups_) &&
-               r.u64(mispredicts_);
+        ar.expect(std::uint64_t{table_.size()});
+        ar.bytes(table_.data(), table_.size());
+        ar.u64(history_);
+        ar.u64(lookups_);
+        ar.u64(mispredicts_);
     }
 
   private:

@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/codec.hh"
-
 namespace xui
 {
 
@@ -56,32 +54,22 @@ class Cache
     unsigned hitLatency() const { return hitLatency_; }
 
     /**
-     * Checkpoint the mutable state (tags, LRU stamps, counters).
-     * Geometry comes from the constructor, so load validates the
-     * line count instead of serializing the configuration.
+     * Checkpoint archive visit of the mutable state (tags, LRU
+     * stamps, counters). Geometry comes from the constructor, so the
+     * line count is a guard, not configuration.
      */
-    void saveState(ckpt::Writer &w) const
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        w.u64(lines_.size());
-        for (const Line &l : lines_) {
-            w.b(l.valid);
-            w.u64(l.tag);
-            w.u64(l.lruStamp);
+        ar.expect(std::uint64_t{lines_.size()});
+        for (Line &l : lines_) {
+            ar.b(l.valid);
+            ar.u64(l.tag);
+            ar.u64(l.lruStamp);
         }
-        w.u64(stamp_);
-        w.u64(hits_);
-        w.u64(misses_);
-    }
-
-    bool loadState(ckpt::Reader &r)
-    {
-        std::uint64_t n = 0;
-        if (!r.u64(n) || n != lines_.size())
-            return r.fail();
-        for (Line &l : lines_)
-            if (!r.b(l.valid) || !r.u64(l.tag) || !r.u64(l.lruStamp))
-                return false;
-        return r.u64(stamp_) && r.u64(hits_) && r.u64(misses_);
+        ar.u64(stamp_);
+        ar.u64(hits_);
+        ar.u64(misses_);
     }
 
   private:
@@ -149,17 +137,12 @@ class MemHierarchy
 
     const MemHierarchyParams &params() const { return params_; }
 
-    void saveState(ckpt::Writer &w) const
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        llc_.saveState(w);
-        l2_.saveState(w);
-        l1_.saveState(w);
-    }
-
-    bool loadState(ckpt::Reader &r)
-    {
-        return llc_.loadState(r) && l2_.loadState(r) &&
-               l1_.loadState(r);
+        llc_.visit(ar);
+        l2_.visit(ar);
+        l1_.visit(ar);
     }
 
   private:

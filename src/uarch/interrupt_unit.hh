@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/codec.hh"
 #include "des/time.hh"
 #include "intr/policy.hh"
 
@@ -46,6 +45,18 @@ struct PendingIntr
      * reads it back.
      */
     std::uint64_t spanId = 0;
+
+    /** Encoded size (the bound of a checkpointed sequence). */
+    static constexpr std::size_t kCkptBytes = 18;
+
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        ar.enumU8(source, IntrSource::Forwarded);
+        ar.u8(vector);
+        ar.u64(raisedAt);
+        ar.u64(spanId);
+    }
 };
 
 /** Tracked-interrupt front-end state machine (paper Fig. 3). */
@@ -209,71 +220,21 @@ class InterruptUnit
     void onHandlerReturn();
 
     /**
-     * Checkpoint everything except the raise fault hook, which is
-     * harness-owned and reattached after load by whoever installed
-     * it (chaos cells re-install their own).
+     * Checkpoint archive visit of everything except the raise fault
+     * hook, which is harness-owned and reattached after load by
+     * whoever installed it (chaos cells re-install their own).
      */
-    void saveState(ckpt::Writer &w) const
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        auto putIntr = [&w](const PendingIntr &p) {
-            w.u8(static_cast<std::uint8_t>(p.source));
-            w.u8(p.vector);
-            w.u64(p.raisedAt);
-            w.u64(p.spanId);
-        };
-        w.u64(pending_.size());
-        for (const PendingIntr &p : pending_)
-            putIntr(p);
-        putIntr(current_);
-        w.u8(static_cast<std::uint8_t>(state_));
-        w.b(uif_);
-        w.u64(nextSpanId_);
-        w.bytes(prio_, sizeof(prio_));
-        w.b(prioEnabled_);
-        w.u64(preemptStack_.size());
-        for (const PendingIntr &p : preemptStack_)
-            putIntr(p);
-    }
-
-    bool loadState(ckpt::Reader &r)
-    {
-        auto getIntr = [&r](PendingIntr &p) {
-            std::uint8_t src = 0;
-            if (!r.u8(src) || src > 2)
-                return r.fail();
-            p.source = static_cast<IntrSource>(src);
-            return r.u8(p.vector) && r.u64(p.raisedAt) &&
-                   r.u64(p.spanId);
-        };
-        std::uint64_t n = 0;
-        if (!r.u64(n) || n > (1u << 20))
-            return r.fail();
-        pending_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            PendingIntr p{};
-            if (!getIntr(p))
-                return false;
-            pending_.push_back(p);
-        }
-        if (!getIntr(current_))
-            return false;
-        std::uint8_t st = 0;
-        if (!r.u8(st) || st > 3)
-            return r.fail();
-        state_ = static_cast<TrackerState>(st);
-        if (!r.b(uif_) || !r.u64(nextSpanId_) ||
-            !r.bytes(prio_, sizeof(prio_)) || !r.b(prioEnabled_))
-            return false;
-        if (!r.u64(n) || n > (1u << 20))
-            return r.fail();
-        preemptStack_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            PendingIntr p{};
-            if (!getIntr(p))
-                return false;
-            preemptStack_.push_back(p);
-        }
-        return r.ok();
+        ar.seq(pending_, PendingIntr::kCkptBytes);
+        current_.visit(ar);
+        ar.enumU8(state_, TrackerState::Committed);
+        ar.b(uif_);
+        ar.u64(nextSpanId_);
+        ar.bytes(prio_, sizeof(prio_));
+        ar.b(prioEnabled_);
+        ar.seq(preemptStack_, PendingIntr::kCkptBytes);
     }
 
   private:

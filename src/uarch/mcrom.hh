@@ -100,6 +100,29 @@ struct MicroOp
     std::uint64_t addr = 0;
     /** Overrides the OpClass latency when nonzero. */
     std::uint16_t fixedLatency = 0;
+
+    /** Encoded size (the bound of a checkpointed sequence). */
+    static constexpr std::size_t kCkptBytes = 19;
+
+    /** Checkpoint archive visit (ckpt/codec.hh). Register fields
+     *  index the rename table, so load refuses any other value. */
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        ar.enumU8(cls, OpClass::Nop);
+        ar.u8(dest);
+        ar.u8(src1);
+        ar.u8(src2);
+        ar.require(reg::valid(dest) && reg::valid(src1) &&
+                   reg::valid(src2));
+        ar.b(eom);
+        ar.b(fromIntrPath);
+        ar.b(safepoint);
+        ar.enumU8(effect, McodeEffect::ResumeFromPreempt);
+        ar.enumU8(mem, MemMode::Remote);
+        ar.u64(addr);
+        ar.u16(fixedLatency);
+    }
 };
 
 /** Calibration parameters for the microcode routines. */

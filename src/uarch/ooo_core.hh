@@ -74,6 +74,27 @@ struct IntrRecord
     Cycles restoredAt = 0;
     /** This delivery preempted a lower-priority handler. */
     bool preempting = false;
+
+    /** Encoded size (the bound of a checkpointed sequence). */
+    static constexpr std::size_t kCkptBytes = 83;
+
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        ar.enumU8(source, IntrSource::Forwarded);
+        ar.u8(vector);
+        ar.u64(spanId);
+        ar.u64(raisedAt);
+        ar.u64(acceptedAt);
+        ar.u64(injectedAt);
+        ar.u64(firstUopCommitAt);
+        ar.u64(deliveryExecAt);
+        ar.u64(deliveryCommitAt);
+        ar.u64(uiretCommitAt);
+        ar.u64(saveStartAt);
+        ar.u64(restoredAt);
+        ar.b(preempting);
+    }
 };
 
 /** Sender-side timeline of one senduipi (drives Table 2 / Fig. 2). */
@@ -81,6 +102,15 @@ struct SendRecord
 {
     Cycles dispatchedAt = 0;
     Cycles icrCommitAt = 0;
+
+    static constexpr std::size_t kCkptBytes = 16;
+
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        ar.u64(dispatchedAt);
+        ar.u64(icrCommitAt);
+    }
 };
 
 /** One closed fast-forward region (sampled-detail mode). */
@@ -90,6 +120,16 @@ struct FfSpan
     Cycles exitedAt = 0;
     /** Macro instructions executed functionally in the region. */
     std::uint64_t insts = 0;
+
+    static constexpr std::size_t kCkptBytes = 24;
+
+    template <class Ar>
+    void visit(Ar &ar)
+    {
+        ar.u64(enteredAt);
+        ar.u64(exitedAt);
+        ar.u64(insts);
+    }
 };
 
 /** Aggregate core counters. */
@@ -426,6 +466,37 @@ class OooCore
          */
         RobEntry *waitHead = nullptr;
         RobEntry *waitNext = nullptr;
+
+        static constexpr std::size_t kCkptBytes =
+            MicroOp::kCkptBytes + 85;
+
+        template <class Ar>
+        void visit(Ar &ar)
+        {
+            uop.visit(ar);
+            ar.u64(seq);
+            ar.u32(pc);
+            ar.u32(nextPc);
+            ar.u64(imm);
+            ar.b(issued);
+            ar.b(done);
+            ar.u64(readyAt);
+            ar.u64(addr);
+            ar.b(isBranch);
+            ar.b(staticBranch);
+            ar.b(predictedTaken);
+            ar.b(actualTaken);
+            ar.b(mispredicted);
+            ar.b(wrongPath);
+            ar.b(countedExec);
+            ar.u32(correctTarget);
+            ar.u64(historyBefore);
+            ar.u64(dep1);
+            ar.u64(dep2);
+            // Reserved word, always zero: keeps the payload layout
+            // and size of earlier snapshots.
+            ar.expect(std::uint64_t{0});
+        }
     };
 
     /** An in-flight store in the store index. */
@@ -466,13 +537,10 @@ class OooCore
                            std::uint32_t recovery_pc,
                            std::uint64_t history);
     void rebuildRenameTable();
-    /** Checkpoint helpers (core_ckpt.cc). */
-    static void saveUop(ckpt::Writer &w, const MicroOp &uop);
-    static bool loadUop(ckpt::Reader &r, MicroOp &uop);
-    static void saveRobEntry(ckpt::Writer &w, const RobEntry &e);
-    static bool loadRobEntry(ckpt::Reader &r, RobEntry &e);
-    static void saveIntrRecord(ckpt::Writer &w, const IntrRecord &rec);
-    static bool loadIntrRecord(ckpt::Reader &r, IntrRecord &rec);
+    /** The checkpoint archive visit behind saveState/loadState
+     *  (core_ckpt.cc); its field order is the payload format. */
+    template <class Ar>
+    void visit(Ar &ar);
     /** Rebuild ring + completion wheel from rob_ after loadState. */
     void rebuildExecStructures();
     void applyCommitEffect(const RobEntry &entry);
@@ -637,6 +705,15 @@ class OooCore
     {
         std::uint8_t vector;
         Cycles when;
+
+        static constexpr std::size_t kCkptBytes = 9;
+
+        template <class Ar>
+        void visit(Ar &ar)
+        {
+            ar.u8(vector);
+            ar.u64(when);
+        }
     };
     std::deque<IpiArrival> ipiInbox_;
 
@@ -651,6 +728,17 @@ class OooCore
         std::uint32_t resumePc;
         IntrRecord record;
         bool recordOpen;
+
+        static constexpr std::size_t kCkptBytes =
+            IntrRecord::kCkptBytes + 5;
+
+        template <class Ar>
+        void visit(Ar &ar)
+        {
+            ar.u32(resumePc);
+            record.visit(ar);
+            ar.b(recordOpen);
+        }
     };
     std::vector<PreemptFrame> preemptFrames_;
     /** Preempt-restore routines in flight (uiret writeback ->

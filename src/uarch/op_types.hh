@@ -87,6 +87,8 @@ constexpr std::uint8_t kUtmp0 = 50;
 constexpr std::uint8_t kNone = 0xff;
 /** Total architectural register count. */
 constexpr unsigned kCount = 64;
+/** A register field holds a register or kNone. */
+constexpr bool valid(std::uint8_t r) { return r < kCount || r == kNone; }
 } // namespace reg
 
 } // namespace xui

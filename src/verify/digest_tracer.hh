@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/codec.hh"
 #include "stats/digest.hh"
 #include "uarch/trace.hh"
 
@@ -66,38 +65,20 @@ class DigestTracer : public Tracer
     void reset();
 
     /**
-     * Checkpoint the digest mid-stream (FNV-1a is resumable from
-     * (hash, bytes)). The commit-PC sink pointer is harness-owned
-     * and reattached after load; its *contents* are saved by the
-     * harness alongside this state.
+     * Checkpoint archive visit of the digest mid-stream (FNV-1a is
+     * resumable from (hash, bytes)). The commit-PC sink pointer is
+     * harness-owned and reattached after load; its *contents* are
+     * visited by the harness alongside this state.
      */
-    void saveState(ckpt::Writer &w) const
+    template <class Ar>
+    void visit(Ar &ar)
     {
-        w.u64(full_.value());
-        w.u64(full_.bytes());
-        w.u64(arch_.value());
-        w.u64(arch_.bytes());
-        w.u64(events_);
-        w.u64(commits_);
-        for (std::uint64_t c : counts_)
-            w.u64(c);
-    }
-
-    bool loadState(ckpt::Reader &r)
-    {
-        std::uint64_t hash = 0, bytes = 0;
-        if (!r.u64(hash) || !r.u64(bytes))
-            return false;
-        full_.restore(hash, bytes);
-        if (!r.u64(hash) || !r.u64(bytes))
-            return false;
-        arch_.restore(hash, bytes);
-        if (!r.u64(events_) || !r.u64(commits_))
-            return false;
+        full_.visit(ar);
+        arch_.visit(ar);
+        ar.u64(events_);
+        ar.u64(commits_);
         for (std::uint64_t &c : counts_)
-            if (!r.u64(c))
-                return false;
-        return true;
+            ar.u64(c);
     }
 
   private:

@@ -83,40 +83,36 @@ ScenarioRun::runToEnd()
     }
 }
 
+template <class Ar>
+void
+ScenarioRun::visit(Ar &ar)
+{
+    digest_.visit(ar);
+    ar.seq(commitPcs_, sizeof(std::uint32_t));
+    ar.enumU8(phase_, std::uint8_t{2});
+    ar.u64(phase0TargetInsts_);
+    ar.u64(phase0CycleLimit_);
+    ar.u64(phase1End_);
+}
+
 void
 ScenarioRun::saveState(ckpt::Writer &w) const
 {
     core_->saveState(w);
-    digest_.saveState(w);
-    w.u64(commitPcs_.size());
-    for (std::uint32_t pc : commitPcs_)
-        w.u32(pc);
-    w.u8(phase_);
-    w.u64(phase0TargetInsts_);
-    w.u64(phase0CycleLimit_);
-    w.u64(phase1End_);
+    // visit() serves load too, so it is non-const; the Writer only
+    // reads the fields it is handed.
+    const_cast<ScenarioRun *>(this)->visit(w);
 }
 
 bool
 ScenarioRun::loadState(ckpt::Reader &r)
 {
-    if (!core_->loadState(r) || !digest_.loadState(r))
+    if (!core_->loadState(r))
         return false;
-    std::uint64_t n = 0;
-    if (!r.u64(n) || n > (1ull << 28))
-        return r.fail();
-    commitPcs_.clear();
-    commitPcs_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint32_t pc = 0;
-        if (!r.u32(pc))
-            return false;
-        commitPcs_.push_back(pc);
-    }
-    if (!r.u8(phase_) || phase_ > 2)
-        return r.fail();
-    return r.u64(phase0TargetInsts_) && r.u64(phase0CycleLimit_) &&
-           r.u64(phase1End_) && r.ok();
+    visit(r);
+    // The payload is the whole checkpoint: unread bytes mean it was
+    // written by something else.
+    return r.ok() && r.atEnd();
 }
 
 ScenarioResult

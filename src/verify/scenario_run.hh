@@ -66,7 +66,8 @@ class ScenarioRun
 
     /**
      * Restore a checkpoint taken from a ScenarioRun with the same
-     * config. @return false on malformed/mismatched payload.
+     * config. @return false on malformed/mismatched payload, or one
+     * with bytes left over after the checkpoint.
      */
     bool loadState(ckpt::Reader &r);
 
@@ -95,6 +96,10 @@ class ScenarioRun
     Cycles phase1End_ = 0;
 
     void maybeAdvancePhase();
+
+    /** Checkpoint archive visit of everything after the core. */
+    template <class Ar>
+    void visit(Ar &ar);
 };
 
 /**

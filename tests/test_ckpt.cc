@@ -6,7 +6,10 @@
  * Site::CheckpointWrite action (damage is always detected or the
  * previous generation wins — never a silent divergence), the golden
  * corpus round-trip (interrupted + resumed == uninterrupted, bit for
- * bit), the ckpt_crash chaos driver (crash recovery, rollback-retry,
+ * bit), byte-identity pins on the payloads themselves, malformed
+ * payloads (trailing bytes, inflated counts) and a seeded mutation
+ * loop over the snapshot Reader, the ckpt_crash chaos driver (crash
+ * recovery, rollback-retry,
  * restore-from-file), the kernel.recovery.rollback_* counters, and
  * the watchdog's bounded pending-event snapshot under repeated trips
  * (the ASan leak/determinism loop).
@@ -32,9 +35,11 @@
 #include "obs/metrics.hh"
 #include "os/cost_model.hh"
 #include "os/kernel.hh"
+#include "stats/digest.hh"
 #include "uarch/ooo_core.hh"
 #include "verify/roundtrip.hh"
 #include "verify/scenario_run.hh"
+#include "workloads/kernels.hh"
 
 using namespace xui;
 
@@ -392,6 +397,331 @@ TEST(CorpusRoundTrip, SweepAgreesAcrossJobs)
     EXPECT_EQ(s1.rows, 6u);
     EXPECT_EQ(s1.passed, s2.passed);
     EXPECT_EQ(s1.failures, s2.failures);
+}
+
+// ----- payload byte-identity pins -----------------------------------
+
+/** The ScenarioRun payload at the split checkRoundTrip uses. */
+std::string
+halfwayPayload(const ScenarioConfig &cfg)
+{
+    ScenarioRun reference(cfg);
+    reference.runToEnd();
+    const Cycles split = reference.finish().cycles / 2;
+    ScenarioRun run(cfg);
+    while (!run.done() && run.now() < split)
+        run.advance(split - run.now());
+    ckpt::Writer w;
+    run.saveState(w);
+    return w.take();
+}
+
+struct PayloadPin
+{
+    DeliveryStrategy strategy;
+    std::size_t bytes;
+    std::uint64_t fnv;
+};
+
+/**
+ * Size and FNV-1a of the half-way payload of golden row seed 1, one
+ * per delivery strategy. Any change to a field's order, width or
+ * presence moves these, so a restructuring of the codec that claims
+ * to keep the format must keep them.
+ */
+TEST(PayloadPin, ScenarioRunPayloadsByteIdentical)
+{
+    const PayloadPin kPins[] = {
+        {DeliveryStrategy::Flush, 9533073, 0x0ce97afd425159f1ull},
+        {DeliveryStrategy::Drain, 9533573, 0xe12900b8516cd560ull},
+        {DeliveryStrategy::Tracked, 9541331, 0xe2cc4795b9dbada9ull},
+    };
+    for (const PayloadPin &pin : kPins) {
+        SCOPED_TRACE(static_cast<int>(pin.strategy));
+        const ScenarioConfig cfg = goldenCorpusConfig(1, pin.strategy);
+        const std::string p = halfwayPayload(cfg);
+        EXPECT_EQ(p.size(), pin.bytes);
+        EXPECT_EQ(fnv1a(p.data(), p.size()), pin.fnv);
+
+        ScenarioRun back(cfg);
+        ckpt::Reader r(p);
+        ASSERT_TRUE(back.loadState(r));
+        ckpt::Writer w;
+        back.saveState(w);
+        EXPECT_TRUE(w.data() == p) << "save -> load -> save moved bytes";
+    }
+}
+
+/** Same pin for one encoded chaos logical checkpoint (CkptState). */
+TEST(PayloadPin, ChaosCheckpointPayloadByteIdentical)
+{
+    chaos::CellConfig cc;
+    cc.kind = chaos::ScenarioKind::CkptCrash;
+    cc.seed = 5;
+    cc.ckptEvery = 256;
+    cc.eventBudget = 64000;
+    cc.ckptPathBase = tmpPath("pin.ckpt");
+    cc.ckptKeepFiles = true;
+    ASSERT_TRUE(chaos::runCell(cc).passed);
+
+    ckpt::GenerationSet gens(cc.ckptPathBase);
+    ckpt::Snapshot snap;
+    ASSERT_EQ(gens.loadLatest(snap).status, ckpt::LoadStatus::Ok);
+    gens.removeAll();
+    EXPECT_EQ(snap.payload.size(), 152u);
+    EXPECT_EQ(fnv1a(snap.payload.data(), snap.payload.size()),
+              0x35519f7eaed849dbull);
+}
+
+/** Sequence bounds rely on each element's declared encoded size. */
+template <class T>
+std::size_t
+encodedSize(T item)
+{
+    ckpt::Writer w;
+    item.visit(w);
+    return w.size();
+}
+
+TEST(PayloadPin, DeclaredElementSizesMatchEncoding)
+{
+    EXPECT_EQ(encodedSize(MicroOp{}), MicroOp::kCkptBytes);
+    EXPECT_EQ(encodedSize(PendingIntr{}), PendingIntr::kCkptBytes);
+    EXPECT_EQ(encodedSize(IntrRecord{}), IntrRecord::kCkptBytes);
+    EXPECT_EQ(encodedSize(SendRecord{}), SendRecord::kCkptBytes);
+    EXPECT_EQ(encodedSize(FfSpan{}), FfSpan::kCkptBytes);
+}
+
+// ----- malformed payloads -------------------------------------------
+
+TEST(MalformedPayload, ScenarioRunTrailingByteRejected)
+{
+    const ScenarioConfig cfg =
+        goldenCorpusConfig(1, DeliveryStrategy::Tracked);
+    ScenarioRun run(cfg);
+    run.advance(20000);
+    ckpt::Writer w;
+    run.saveState(w);
+    const std::string p = w.take();
+
+    ScenarioRun ok(cfg);
+    ckpt::Reader r(p);
+    EXPECT_TRUE(ok.loadState(r));
+
+    ScenarioRun bad(cfg);
+    const std::string longer = p + '\0';
+    ckpt::Reader rb(longer);
+    EXPECT_FALSE(bad.loadState(rb));
+}
+
+TEST(MalformedPayload, InflatedCommitPcCountRejectedAtTheCount)
+{
+    // The commit-PC vector is the payload's last sequence: its count
+    // sits before n 4-byte PCs and the 25-byte phase tail. A count
+    // of 2^28 names 1 GiB of PCs; the bytes left cannot hold them,
+    // so the load must stop at the count itself — before anything is
+    // allocated — not at an underrun after a reserve.
+    const ScenarioConfig cfg =
+        goldenCorpusConfig(1, DeliveryStrategy::Flush);
+    ScenarioRun run(cfg);
+    run.advance(20000);
+    ckpt::Writer w;
+    run.saveState(w);
+    std::string p = w.take();
+    const std::uint64_t n = run.digest().programCommitCount();
+    ASSERT_GT(n, 0u);
+    const std::size_t tail = 25 + 4 * n;
+    ASSERT_GT(p.size(), tail + 8);
+    const std::size_t at = p.size() - tail - 8;
+    ASSERT_EQ(readU64(p, at), n);
+
+    ckpt::Writer big;
+    big.u64(1ull << 28);
+    p.replace(at, 8, big.data());
+    ScenarioRun back(cfg);
+    ckpt::Reader r(p);
+    EXPECT_FALSE(back.loadState(r));
+    EXPECT_EQ(r.remaining(), tail);
+}
+
+TEST(MalformedPayload, ChaosCheckpointTrailingByteRejected)
+{
+    chaos::CellConfig cc;
+    cc.kind = chaos::ScenarioKind::CkptCrash;
+    cc.seed = 5;
+    cc.ckptEvery = 256;
+    cc.eventBudget = 64000;
+    cc.ckptPathBase = tmpPath("trailing.ckpt");
+    cc.ckptKeepFiles = true;
+    ASSERT_TRUE(chaos::runCell(cc).passed);
+    ckpt::GenerationSet gens(cc.ckptPathBase);
+    ckpt::Snapshot snap;
+    ASSERT_EQ(gens.loadLatest(snap).status, ckpt::LoadStatus::Ok);
+    gens.removeAll();
+
+    // Re-sealed with a valid envelope, so only the payload decoder
+    // can refuse it.
+    snap.payload += '\0';
+    const std::string path = tmpPath("trailing_one.ckpt");
+    ASSERT_TRUE(ckpt::saveSnapshot(path, snap).ok);
+    chaos::CellConfig rc = cc;
+    rc.ckptPathBase.clear();
+    rc.ckptKeepFiles = false;
+    rc.restoreFrom = path;
+    chaos::CellResult r = chaos::runCell(rc);
+    std::filesystem::remove(path);
+    EXPECT_FALSE(r.passed);
+    ASSERT_FALSE(r.violations.empty());
+    EXPECT_NE(r.violations.front().find("undecodable"),
+              std::string::npos)
+        << r.violations.front();
+}
+
+// ----- snapshot Reader mutation loop --------------------------------
+
+/**
+ * Seeded mutation loop over a core payload taken mid-delivery: the
+ * ROB, the interrupt records and the preemption stack are non-empty.
+ * Truncations and appended bytes must always be refused; count
+ * fields inflated past the bytes left (or past a ring's capacity)
+ * must be refused; single-byte flips and other inflations may load
+ * or fail, but never crash, hang or trip ASan/UBSan.
+ */
+TEST(ReaderMutation, CorePayloadSurvivesSeededMutations)
+{
+    const Program prog = makePointerChase(30, 256ull << 10, false);
+    CoreParams params;
+    params.strategy = DeliveryStrategy::Tracked;
+    params.mem.l2Size = 64 << 10;   // keep the payload (and each
+    params.mem.llcSize = 256 << 10; // load) small
+    params.predictorTableBits = 10;
+    auto fresh = [&] {
+        return std::make_unique<OooCore>(0, params, &prog, Rng(11));
+    };
+
+    // Periodic KB-timer handlers, plus a level-3 vector raised while
+    // one is committed: stop inside the nested delivery.
+    std::unique_ptr<OooCore> core = fresh();
+    core->kbTimer().configure(true, 0x21);
+    core->kbTimer().setTimer(0, 2000, KbTimerMode::Periodic);
+    core->intrUnit().setVectorPriority(0x40, 3);
+    Cycles lastRaise = 0;
+    for (int step = 0; step < 20000; ++step) {
+        core->runCycles(25);
+        if (core->intrUnit().inNestedDelivery() &&
+            core->robOccupancy() > 0 &&
+            !core->stats().intrRecords.empty())
+            break;
+        if (core->intrUnit().state() == TrackerState::Committed &&
+            core->now() - lastRaise > 1500) {
+            core->intrUnit().raise(IntrSource::UserIpi, 0x40,
+                                   core->now());
+            lastRaise = core->now();
+        }
+    }
+    ASSERT_TRUE(core->intrUnit().inNestedDelivery());
+    ASSERT_GT(core->robOccupancy(), 0u);
+    ckpt::Writer w;
+    core->saveState(w);
+    const std::string p = w.take();
+
+    // A top-level load: the whole payload and nothing else.
+    auto loads = [&](const std::string &bytes) {
+        ckpt::Reader r(bytes);
+        return fresh()->loadState(r) && r.atEnd();
+    };
+    ASSERT_TRUE(loads(p));
+
+    // Count fields, located from the payload's end through the
+    // public sizes of what follows each one (checked below, so a
+    // format change fails here instead of mutating the wrong bytes).
+    const CoreStats &st = core->stats();
+    const std::size_t robEntry = MicroOp::kCkptBytes + 85;
+    const std::size_t ffSpans =
+        p.size() - 8 - st.ffSpans.size() * FfSpan::kCkptBytes;
+    const std::size_t sends =
+        ffSpans - 8 - st.sendRecords.size() * SendRecord::kCkptBytes;
+    const std::size_t records =
+        sends - 8 - st.intrRecords.size() * IntrRecord::kCkptBytes;
+    const std::size_t frames =
+        records - 19 * 8 - 50 - 4 -
+        core->intrUnit().preemptDepth() * (IntrRecord::kCkptBytes + 5) -
+        8;
+    const std::size_t inbox = frames - 1 - IntrRecord::kCkptBytes - 8;
+    const std::size_t execCount = inbox - 8 * prog.size() - 8;
+    const std::size_t rob =
+        execCount - core->robOccupancy() * robEntry - 8;
+    const std::size_t fetch =
+        rob - core->fetchBufferDepth() * robEntry - 8;
+    struct CountField
+    {
+        std::size_t at;
+        std::uint64_t value;
+        std::uint64_t cap;
+    };
+    const CountField counts[] = {
+        {fetch, core->fetchBufferDepth(), 48},
+        {rob, core->robOccupancy(), params.robSize},
+        {execCount, prog.size(), 0},
+        {inbox, 0, 0},
+        {frames, core->intrUnit().preemptDepth(), 0},
+        {records, st.intrRecords.size(), 0},
+        {sends, st.sendRecords.size(), 0},
+        {ffSpans, st.ffSpans.size(), 0},
+    };
+    auto withU64 = [&](std::size_t at, std::uint64_t v) {
+        std::string s = p;
+        ckpt::Writer word;
+        word.u64(v);
+        s.replace(at, 8, word.data());
+        return s;
+    };
+    for (const CountField &c : counts) {
+        SCOPED_TRACE("count at " + std::to_string(c.at));
+        ASSERT_EQ(readU64(p, c.at), c.value);
+        for (std::uint64_t v : {1ull << 28, 1ull << 40, ~0ull})
+            EXPECT_FALSE(loads(withU64(c.at, v)));
+        if (c.cap != 0) {
+            EXPECT_FALSE(loads(withU64(c.at, c.cap + 1)));
+        }
+        loads(withU64(c.at, c.value + 1));
+        if (c.value != 0)
+            loads(withU64(c.at, c.value - 1));
+    }
+
+    Rng rng(0x5eed);
+    // Truncations: every cut must be refused.
+    const std::size_t stride = p.size() / 1000 + 1;
+    for (std::size_t len = 0; len < p.size(); len += stride)
+        EXPECT_FALSE(loads(p.substr(0, len))) << "cut at " << len;
+    for (std::size_t back = 1; back <= 64; ++back)
+        EXPECT_FALSE(loads(p.substr(0, p.size() - back)))
+            << "cut " << back << " from the end";
+
+    // Appended bytes: refused at the top level.
+    for (std::size_t extra : {1, 2, 8, 83}) {
+        std::string s = p;
+        for (std::size_t i = 0; i < extra; ++i)
+            s += static_cast<char>(rng.next());
+        EXPECT_FALSE(loads(s)) << extra << " appended";
+    }
+
+    // Single-byte flips, half of them in the tail past the caches
+    // and predictor, where the sequences and enums live; and u64
+    // inflations at arbitrary offsets. Either outcome is fine.
+    const std::size_t tailFrom = fetch > 4096 ? fetch - 4096 : 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::size_t lo = i % 2 == 0 ? 0 : tailFrom;
+        const std::size_t at = lo + rng.nextBounded(p.size() - lo);
+        std::string s = p;
+        s[at] = static_cast<char>(s[at] ^ (1 + rng.nextBounded(255)));
+        loads(s);
+    }
+    for (int i = 0; i < 500; ++i) {
+        const std::size_t at =
+            tailFrom + rng.nextBounded(p.size() - 8 - tailFrom);
+        loads(withU64(at, rng.next() >> rng.nextBounded(64)));
+    }
 }
 
 // ----- ckpt_crash chaos driver --------------------------------------
