@@ -217,7 +217,7 @@ mwaitComparison(bool quick)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv, bench::kObsScenario);
     bench::banner("Ablations: xUI design choices",
                   "DESIGN.md §4 (strategy vs window, safepoint "
                   "density, re-injection, mwait)");

@@ -1,42 +1,24 @@
 /**
  * @file
- * Shared helpers for the bench binaries: flag parsing and header
- * banners. Every bench accepts `--quick` (shorter runs for CI),
- * `--seed N`, `--jobs N` (worker threads for the config-grid sweep;
- * 0/unset = one per hardware thread, 1 = the legacy serial path —
- * results are bit-identical either way), and the observability
- * flags `--metrics-json FILE` / `--trace-json FILE` (src/obs:
- * metrics snapshot and Perfetto-loadable Chrome trace export).
- * The pipeline-pressure profiler rides on the same session:
- * `--counter-stride N` samples core occupancy/rate/memory counter
- * tracks into the trace every N cycles (burst mode drops to every
- * cycle around interrupt spans), and `--tax` attributes every cycle
- * under a live interrupt span to flush/refill/ucode/handler/shadow
- * buckets (`core.tax.*` in the metrics snapshot).
- * Checkpoint/restore rides on the same session: `--checkpoint-every
- * N` snapshots the checkpoint-capable scenario into a
- * crash-consistent generation set, `--restore FILE` resumes from a
- * snapshot (provenance-strict), and `--version` prints the build's
- * git SHA, build type, and snapshot format version (the values
- * stamped into every snapshot header).
- * Unknown flags, flags missing their value, and malformed `--jobs`
- * values (0, signs, non-digits) are errors: usage goes to stderr
- * and the bench exits with status 2.
+ * Shared helpers for the bench binaries: the bench flag table and
+ * header banners.
+ *
+ * flagTable() holds one row per bench flag (src/cli/flags.hh). Each
+ * bench passes the Flags it reads to parseArgs() and rejects every
+ * other flag. `--help` lists a bench's flags and `--version` prints
+ * the build provenance stamped into snapshot headers; a usage error
+ * prints usage to stderr and exits 2.
  */
 
 #ifndef XUI_BENCH_BENCH_UTIL_HH
 #define XUI_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <string>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
+#include "cli/flags.hh"
 #include "intr/policy.hh"
 
 namespace xui::bench
@@ -61,377 +43,164 @@ struct PolicyChoice
     bool adaptive = false;
 };
 
+inline const PolicyChoice kPolicyChoices[] = {
+    {"off"},
+    {"next_only_edge", true,
+     {DeliveryBehavior::NextOnly, TriggerMode::Edge}},
+    {"next_only_level", true,
+     {DeliveryBehavior::NextOnly, TriggerMode::Level}},
+    {"next_or_missed_edge", true,
+     {DeliveryBehavior::NextOrMissed, TriggerMode::Edge}},
+    {"next_or_missed_level", true,
+     {DeliveryBehavior::NextOrMissed, TriggerMode::Level}},
+    {"moderated", true, {}, true},
+    {"adaptive", true, {}, false, true},
+};
+
 /** @return false when `v` names no policy (`out` untouched). */
 inline bool
 parsePolicyName(const char *v, PolicyChoice &out)
 {
-    PolicyChoice c;
-    c.name = v;
-    c.enabled = true;
-    if (std::strcmp(v, "off") == 0) {
-        c.enabled = false;
-    } else if (std::strcmp(v, "next_only_edge") == 0) {
-        c.policy = {DeliveryBehavior::NextOnly, TriggerMode::Edge};
-    } else if (std::strcmp(v, "next_only_level") == 0) {
-        c.policy = {DeliveryBehavior::NextOnly, TriggerMode::Level};
-    } else if (std::strcmp(v, "next_or_missed_edge") == 0) {
-        c.policy = {DeliveryBehavior::NextOrMissed,
-                    TriggerMode::Edge};
-    } else if (std::strcmp(v, "next_or_missed_level") == 0) {
-        c.policy = {DeliveryBehavior::NextOrMissed,
-                    TriggerMode::Level};
-    } else if (std::strcmp(v, "moderated") == 0) {
-        c.moderated = true;
-    } else if (std::strcmp(v, "adaptive") == 0) {
-        c.adaptive = true;
-    } else {
-        return false;
+    for (const PolicyChoice &c : kPolicyChoices) {
+        if (c.name == v) {
+            out = c;
+            return true;
+        }
     }
-    out = c;
-    return true;
+    return false;
 }
 
-inline const char *
+/** "off|next_only_edge|...": every --policy name. */
+inline std::string
 policyUsageNames()
 {
-    return "off|next_only_edge|next_only_level|next_or_missed_edge|"
-           "next_or_missed_level|moderated|adaptive";
+    std::string names;
+    for (const PolicyChoice &c : kPolicyChoices)
+        names += (names.empty() ? "" : "|") + c.name;
+    return names;
 }
 
 /** Strict decimal parse: digits only, no sign, no trailing junk. */
-inline bool
-parseU64Strict(const char *v, std::uint64_t &out)
-{
-    if (v == nullptr || *v == '\0')
-        return false;
-    for (const char *p = v; *p != '\0'; ++p)
-        if (*p < '0' || *p > '9')
-            return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long x = std::strtoull(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0')
-        return false;
-    out = x;
-    return true;
-}
+using cli::parseU64Strict;
 
-/** Strict positive-double parse (no trailing junk, finite, > 0). */
-inline bool
-parsePositiveDouble(const char *v, double &out)
-{
-    if (v == nullptr || *v == '\0')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    double x = std::strtod(v, &end);
-    if (errno != 0 || end == v || *end != '\0' || !(x > 0.0) ||
-        !(x < 1e12))
-        return false;
-    out = x;
-    return true;
-}
-
+/** The bench flag values; flagTable() documents each flag. */
 struct Options
 {
     bool quick = false;
     std::uint64_t seed = 1;
-    /** `--metrics-json FILE`: write a metrics snapshot ("" = off). */
-    std::string metricsJson;
-    /** `--trace-json FILE`: write a Chrome trace ("" = off). */
-    std::string traceJson;
-    /**
-     * `--counter-stride N`: sample counter tracks every N cycles
-     * into the trace (0 = off; needs --trace-json to emit).
-     */
-    std::uint64_t counterStride = 0;
-    /** `--tax`: interrupt-tax stall attribution (core.tax.*). */
-    bool tax = false;
-    /** `--jobs N`: sweep worker threads (0 = hardware threads). */
+    /** 0 = one worker per hardware thread. */
     unsigned jobs = 0;
-    /** `--policy NAME`: delivery policy for the overload section. */
+    /** Empty = no export. */
+    std::string metricsJson, traceJson;
+    /** 0 = no counter sampling. */
+    std::uint64_t counterStride = 0;
+    bool tax = false;
     PolicyChoice policy;
-    /** True when --policy was given (even as "off"): the frontier
-     *  then runs only that policy instead of the full panel. */
+    /** --policy was given (even as "off"): the frontier runs only
+     *  that policy instead of the full panel. */
     bool policyGiven = false;
-    /** `--itr-ns N`: moderation rate limit (0 = bench default). */
+    /** 0 = the bench's default rate limit. */
     std::uint64_t itrNs = 0;
-    /**
-     * `--offered-load X`: open-loop load multiplier relative to
-     * saturation (1.0 = saturation, 2.0 = 2x overload). When set
-     * (> 0) the bench runs its saturation-frontier section instead
-     * of the default figure sweep.
-     */
+    /** > 0 runs the saturation frontier instead of the figure. */
     double offeredLoad = 0.0;
-    /**
-     * `--rt-vector V`: latency-critical user vector (< 64) for the
-     * mixed-criticality co-tenancy section (maxlat bench). 256 =
-     * unset; the bench runs its default sweep.
-     */
+    /** 256 = unset: no co-tenancy section. */
     std::uint64_t rtVector = 256;
-    /** `--priority P`: the RT vector's priority level (< 4). */
     std::uint64_t rtPriority = kNumPriorityLevels - 1;
-    /**
-     * `--ff`: also run the sampled (fast-forward) pass for every
-     * FF-capable scenario that does not run it by default (e.g.
-     * simspeed's fig2), gating its accuracy like the always-on
-     * pairs. Exact-mode measurements are unaffected.
-     */
     bool ff = false;
-    /**
-     * `--detail-window N`: cycles of full detail kept around every
-     * interrupt lifecycle event in sampled passes (>= 1).
-     */
     std::uint64_t detailWindow = 512;
-    /**
-     * `--checkpoint-every N`: snapshot the checkpoint-capable
-     * scenario every N committed cycles into a crash-consistent
-     * on-disk generation set (0 = off). The bench reports snapshot
-     * cost alongside its usual rates (EXPERIMENTS.md recovery-time
-     * table).
-     */
+    /** 0 = no checkpoints. */
     std::uint64_t checkpointEvery = 0;
-    /**
-     * `--restore FILE`: resume the checkpoint-capable scenario from
-     * a snapshot file instead of starting fresh. Provenance-strict:
-     * a snapshot from a different binary is refused loudly.
-     */
     std::string restorePath;
 };
 
-inline void
-printUsage(std::FILE *out, const char *prog)
+/**
+ * One bit per shared bench flag, in flagTable() row order. A bench
+ * passes the set it reads to parseArgs() and rejects the rest.
+ */
+enum Flags : std::uint32_t
 {
-    std::fprintf(out,
-                 "usage: %s [--quick] [--seed N] [--jobs N] "
-                 "[--metrics-json FILE] [--trace-json FILE]\n"
-                 "       [--counter-stride N] [--tax]\n"
-                 "       [--policy %s]\n"
-                 "       [--itr-ns N] [--offered-load X]\n"
-                 "       [--rt-vector V] [--priority P]\n"
-                 "       [--ff] [--detail-window N]\n"
-                 "       [--checkpoint-every N] [--restore FILE]\n"
-                 "       [--version]\n",
-                 prog, policyUsageNames());
+    kQuick = 1u << 0,
+    kSeed = 1u << 1,
+    kJobs = 1u << 2,
+    kMetricsJson = 1u << 3,
+    kTraceJson = 1u << 4,
+    kCounterStride = 1u << 5,
+    kTax = 1u << 6,
+    kPolicy = 1u << 7,
+    kItrNs = 1u << 8,
+    kOfferedLoad = 1u << 9,
+    kRtVector = 1u << 10,
+    kPriority = 1u << 11,
+    kFf = 1u << 12,
+    kDetailWindow = 1u << 13,
+    kCheckpointEvery = 1u << 14,
+    kRestore = 1u << 15,
+    kAllFlags = (1u << 16) - 1,
+    /** The ObsSession exports. */
+    kObs = kMetricsJson | kTraceJson,
+    /** kObs plus everything runObsScenario() reads (obs_util.hh). */
+    kObsScenario = kObs | kQuick | kSeed | kCounterStride | kTax,
+};
+
+/** The rows of `reads`, storing into `o`. */
+inline cli::Table
+flagTable(Options &o, std::uint32_t reads)
+{
+    const cli::Reader policy{
+        [&o](const char *v) {
+            o.policyGiven = parsePolicyName(v, o.policy);
+            return o.policyGiven;
+        },
+        policyUsageNames(), cli::Kind::Choice};
+    cli::Flag rows[] = {
+        {"--quick", "", "shorter runs for CI", &o.quick},
+        {"--seed", "N", "simulation seed", &o.seed},
+        {"--jobs", "N", "config-grid sweep threads (any N gives "
+                        "bit-identical results)",
+         cli::jobs(o.jobs)},
+        {"--metrics-json", "FILE", "write a metrics snapshot",
+         &o.metricsJson},
+        {"--trace-json", "FILE", "write a Chrome/Perfetto trace",
+         &o.traceJson},
+        {"--counter-stride", "N",
+         "sample counter tracks into the trace every N cycles",
+         &o.counterStride},
+        {"--tax", "", "attribute interrupt cycles to core.tax.* buckets",
+         &o.tax},
+        {"--policy", "NAME",
+         "run the frontier under this delivery policy only", policy},
+        {"--itr-ns", "N", "moderation rate limit in ns", &o.itrNs},
+        {"--offered-load", "X",
+         "run the saturation frontier up to X times saturation",
+         &o.offeredLoad, cli::kPositive, 1e12},
+        {"--rt-vector", "V", "run the co-tenancy sweep with RT vector V",
+         &o.rtVector, 0, 63},
+        {"--priority", "P", "the RT vector's priority level",
+         &o.rtPriority, 0, kNumPriorityLevels - 1},
+        {"--ff", "", "also run every FF-capable scenario's sampled pass",
+         &o.ff},
+        {"--detail-window", "N",
+         "detail cycles around each interrupt edge in sampled passes",
+         &o.detailWindow, 1},
+        {"--checkpoint-every", "N",
+         "snapshot every N committed cycles to disk",
+         &o.checkpointEvery, 1},
+        {"--restore", "FILE", "resume from a snapshot (provenance-strict)",
+         &o.restorePath},
+    };
+    cli::Table t;
+    for (std::size_t i = 0; i < std::size(rows); ++i)
+        if (reads & (1u << i))
+            t.flags.push_back(std::move(rows[i]));
+    return t;
 }
 
+/** Parse the flags in `reads`; usage errors exit 2 (cli::finish). */
 inline Options
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, std::uint32_t reads)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--quick") == 0) {
-            opts.quick = true;
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --seed needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --jobs needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!exec::parseJobs(v, opts.jobs)) {
-                std::fprintf(stderr,
-                             "%s: --jobs needs an integer >= 1, "
-                             "got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--metrics-json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --metrics-json needs a file\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.metricsJson = argv[++i];
-        } else if (std::strcmp(arg, "--policy") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --policy needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parsePolicyName(v, opts.policy)) {
-                std::fprintf(stderr,
-                             "%s: unknown --policy '%s' (expected "
-                             "%s)\n",
-                             argv[0], v, policyUsageNames());
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.policyGiven = true;
-        } else if (std::strcmp(arg, "--itr-ns") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --itr-ns needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.itrNs)) {
-                std::fprintf(stderr,
-                             "%s: --itr-ns needs a non-negative "
-                             "integer, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--offered-load") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --offered-load needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parsePositiveDouble(v, opts.offeredLoad)) {
-                std::fprintf(stderr,
-                             "%s: --offered-load needs a positive "
-                             "number, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--rt-vector") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --rt-vector needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.rtVector) ||
-                opts.rtVector >= 64) {
-                std::fprintf(stderr,
-                             "%s: --rt-vector needs an integer in "
-                             "[0, 63], got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--priority") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --priority needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.rtPriority) ||
-                opts.rtPriority >= kNumPriorityLevels) {
-                std::fprintf(stderr,
-                             "%s: --priority needs an integer in "
-                             "[0, %u], got '%s'\n",
-                             argv[0], kNumPriorityLevels - 1, v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--counter-stride") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --counter-stride needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.counterStride)) {
-                std::fprintf(stderr,
-                             "%s: --counter-stride needs a "
-                             "non-negative integer, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--ff") == 0) {
-            opts.ff = true;
-        } else if (std::strcmp(arg, "--detail-window") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --detail-window needs a value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.detailWindow) ||
-                opts.detailWindow == 0) {
-                std::fprintf(stderr,
-                             "%s: --detail-window needs an integer "
-                             ">= 1, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --checkpoint-every needs a "
-                             "value\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            const char *v = argv[++i];
-            if (!parseU64Strict(v, opts.checkpointEvery) ||
-                opts.checkpointEvery == 0) {
-                std::fprintf(stderr,
-                             "%s: --checkpoint-every needs an "
-                             "integer >= 1, got '%s'\n",
-                             argv[0], v);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--restore") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --restore needs a file\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.restorePath = argv[++i];
-        } else if (std::strcmp(arg, "--version") == 0) {
-            std::printf("%s %s (%s), snapshot format %u\n", argv[0],
-                        ckpt::kBuildGitSha, ckpt::kBuildType,
-                        static_cast<unsigned>(ckpt::kFormatVersion));
-            std::exit(0);
-        } else if (std::strcmp(arg, "--tax") == 0) {
-            opts.tax = true;
-        } else if (std::strcmp(arg, "--trace-json") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --trace-json needs a file\n",
-                             argv[0]);
-                printUsage(stderr, argv[0]);
-                std::exit(2);
-            }
-            opts.traceJson = argv[++i];
-        } else if (std::strcmp(arg, "--help") == 0) {
-            printUsage(stdout, argv[0]);
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n",
-                         argv[0], arg);
-            printUsage(stderr, argv[0]);
-            std::exit(2);
-        }
-    }
+    cli::parseOrExit(flagTable(opts, reads), argc, argv);
     return opts;
 }
 

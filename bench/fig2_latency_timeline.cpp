@@ -157,7 +157,8 @@ squashLinearity(bool quick, unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kObsScenario | bench::kJobs);
     bench::banner("Figure 2: UIPI latency timeline",
                   "xUI paper, Fig. 2 + Section 3.5 deconstruction");
 

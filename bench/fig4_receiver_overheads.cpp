@@ -100,7 +100,8 @@ runOne(const std::function<Program()> &make, const Mechanism &mech,
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kQuick | bench::kSeed | bench::kObs);
     bench::banner("Figure 4: Reducing receiver overheads",
                   "xUI paper, Fig. 4 (fib/linpack/memops, periodic "
                   "interrupts)");

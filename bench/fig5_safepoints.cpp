@@ -78,7 +78,7 @@ runCase(const std::function<Program(const KernelOptions &)> &make,
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv, bench::kObsScenario);
     bench::banner(
         "Figure 5: Preemption with hardware safepoints",
         "xUI paper, Fig. 5 (matmul/base64; polling vs UIPI vs xUI "

@@ -23,7 +23,8 @@ using namespace xui;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kObsScenario | bench::kJobs);
     bench::banner("Figure 6: The cost of a timer",
                   "xUI paper, Fig. 6 (timer-core CPU use vs app "
                   "cores x interval)");

@@ -108,7 +108,9 @@ runOverloadFrontier(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kObsScenario | bench::kOfferedLoad |
+                                 bench::kPolicy);
     if (opts.offeredLoad > 0.0)
         return runOverloadFrontier(opts);
     bench::banner(

@@ -155,7 +155,10 @@ runOverloadFrontier(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kObsScenario | bench::kJobs |
+                                 bench::kItrNs | bench::kOfferedLoad |
+                                 bench::kPolicy);
     if (opts.offeredLoad > 0.0)
         return runOverloadFrontier(opts);
     bench::banner("Figure 8: Improving l3fwd efficiency",

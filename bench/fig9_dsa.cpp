@@ -19,7 +19,7 @@ using namespace xui;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv, bench::kObsScenario);
     bench::banner(
         "Figure 9: Optimizing latency and efficiency of DSA "
         "response delivery",

@@ -221,7 +221,9 @@ runCoTenancy(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kObsScenario | bench::kRtVector |
+                                 bench::kPriority);
     if (opts.rtVector != 256) {
         bench::banner(
             "Mixed-criticality co-tenancy: checked worst-case "

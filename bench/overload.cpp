@@ -105,7 +105,9 @@ writeJson(const char *path, const std::vector<L3Point> &l3,
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv,
+                                 bench::kQuick | bench::kSeed |
+                                 bench::kItrNs | bench::kOfferedLoad);
     bench::banner(
         "Overload survival reference (BENCH_overload.json)",
         "delivery policies, ITR moderation, adaptive quantum past "

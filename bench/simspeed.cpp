@@ -840,7 +840,12 @@ runCheckpointMode(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv);
+    bench::Options opts = bench::parseArgs(argc, argv,
+                                           bench::kQuick | bench::kSeed |
+                                           bench::kJobs | bench::kFf |
+                                           bench::kDetailWindow |
+                                           bench::kCheckpointEvery |
+                                           bench::kRestore);
     bench::banner("simspeed — simulator throughput across canonical "
                   "scenarios",
                   "infrastructure (no paper figure): cycles/sec + "

@@ -19,7 +19,7 @@ using namespace xui;
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv);
+    auto opts = bench::parseArgs(argc, argv, bench::kObsScenario);
     bench::banner("Table 2: Key performance metrics of UIPIs",
                   "xUI paper, Table 2 + Section 2 measurements");
 

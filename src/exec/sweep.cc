@@ -1,7 +1,9 @@
 #include "exec/sweep.hh"
 
-#include <cctype>
+#include <cstdint>
 #include <thread>
+
+#include "cli/number.hh"
 
 namespace xui::exec
 {
@@ -22,17 +24,8 @@ effectiveJobs(unsigned requested)
 bool
 parseJobs(const char *text, unsigned &jobs)
 {
-    if (text == nullptr || *text == '\0')
-        return false;
-    unsigned long value = 0;
-    for (const char *p = text; *p != '\0'; ++p) {
-        if (!std::isdigit(static_cast<unsigned char>(*p)))
-            return false;
-        value = value * 10 + static_cast<unsigned long>(*p - '0');
-        if (value > 1024)
-            return false;
-    }
-    if (value == 0)
+    std::uint64_t value = 0;
+    if (!cli::parseU64Strict(text, value) || value == 0 || value > 1024)
         return false;
     jobs = static_cast<unsigned>(value);
     return true;

@@ -1189,6 +1189,85 @@ shrink(const CellConfig &failing)
     return cur;
 }
 
+CellConfig
+gridCell(const GridConfig &cfg, ScenarioKind kind, std::uint64_t seed)
+{
+    CellConfig cc;
+    cc.kind = kind;
+    cc.seed = seed;
+    // The moderation scenarios aim faults at the flush
+    // event; other kinds keep the base option set, so their
+    // generated schedules stay byte-identical to before the
+    // moderation sites existed.
+    fault::ScheduleOptions so = cfg.schedule;
+    if (kind == ScenarioKind::CoalesceDrop)
+        so.dropModerationFlush = true;
+    if (kind == ScenarioKind::ItrMisfire)
+        so.delayModerationFlush = true;
+    if (kind == ScenarioKind::PreemptStorm) {
+        so.dropPreemptSave = true;
+        so.duplicatePreemptSave = true;
+    }
+    if (kind == ScenarioKind::FfBoundary) {
+        // Boundary cells consult only the transition site,
+        // so the schedule draws exclusively from the ff
+        // classes (the kernel sites never fire there).
+        // Duplicates are excluded: the uarch tier has no
+        // dedup, so a doubled raise is an unconditional
+        // conservation failure reserved for crafted cells.
+        fault::ScheduleOptions ffso;
+        ffso.directives = so.directives;
+        ffso.horizon = so.horizon;
+        ffso.maxDelay = so.maxDelay;
+        ffso.dropNotification = false;
+        ffso.delayNotification = false;
+        ffso.duplicateNotification = false;
+        ffso.reorderUpid = false;
+        ffso.stormNotification = false;
+        ffso.timerMisfire = false;
+        ffso.timerDelay = false;
+        ffso.timerSpurious = false;
+        ffso.dropForward = false;
+        ffso.delayForward = false;
+        ffso.descheduleWindow = false;
+        ffso.delayFfDetail = true;
+        ffso.dropFfRaise = true;
+        so = ffso;
+    }
+    if (kind == ScenarioKind::CkptCrash) {
+        // Aim faults at the snapshot write path and plant
+        // the deschedule-storm livelock; also kill the cell
+        // once at a seed-determined event count so the
+        // crash-restore path runs in every cell.
+        so.dropCkptWrite = true;
+        so.tearCkptWrite = true;
+        so.flipCkptWrite = true;
+        so.truncateCkptWrite = true;
+        so.stormDeschedule = true;
+        cc.ckptEvery = cfg.ckptEvery != 0 ? cfg.ckptEvery : 512;
+        cc.crashAtEvent = 256 + cellScheduleSeed(kind, seed) % 2048;
+        if (!cfg.ckptDir.empty())
+            cc.ckptPathBase = cfg.ckptDir + "/cell_" +
+                              scenarioName(kind) + "_" +
+                              std::to_string(seed) + ".ckpt";
+    }
+    cc.schedule =
+        fault::generateSchedule(cellScheduleSeed(kind, seed), so);
+    cc.recovery = cfg.recovery;
+    cc.finalDrain = cfg.finalDrain;
+    cc.horizon = cfg.horizon;
+    cc.eventBudget = cfg.eventBudget;
+    if (kind == ScenarioKind::CkptCrash) {
+        // A planted livelock costs the full budget per
+        // rollback attempt; clean ckpt cells fire ~10k
+        // events, so a tight budget keeps stuck detection
+        // (and the whole regression ladder) cheap without
+        // risking false trips.
+        cc.eventBudget = std::min<std::uint64_t>(cc.eventBudget, 64000);
+    }
+    return cc;
+}
+
 GridOutcome
 runGrid(const GridConfig &cfg)
 {
@@ -1209,82 +1288,7 @@ runGrid(const GridConfig &cfg)
             CellReport rep;
             rep.kind = kinds[i / cfg.seeds];
             rep.seed = cfg.seedBase + i % cfg.seeds;
-            CellConfig cc;
-            cc.kind = rep.kind;
-            cc.seed = rep.seed;
-            // The moderation scenarios aim faults at the flush
-            // event; other kinds keep the base option set, so their
-            // generated schedules stay byte-identical to before the
-            // moderation sites existed.
-            fault::ScheduleOptions so = cfg.schedule;
-            if (rep.kind == ScenarioKind::CoalesceDrop)
-                so.dropModerationFlush = true;
-            if (rep.kind == ScenarioKind::ItrMisfire)
-                so.delayModerationFlush = true;
-            if (rep.kind == ScenarioKind::PreemptStorm) {
-                so.dropPreemptSave = true;
-                so.duplicatePreemptSave = true;
-            }
-            if (rep.kind == ScenarioKind::FfBoundary) {
-                // Boundary cells consult only the transition site,
-                // so the schedule draws exclusively from the ff
-                // classes (the kernel sites never fire there).
-                // Duplicates are excluded: the uarch tier has no
-                // dedup, so a doubled raise is an unconditional
-                // conservation failure reserved for crafted cells.
-                fault::ScheduleOptions ffso;
-                ffso.directives = so.directives;
-                ffso.horizon = so.horizon;
-                ffso.maxDelay = so.maxDelay;
-                ffso.dropNotification = false;
-                ffso.delayNotification = false;
-                ffso.duplicateNotification = false;
-                ffso.reorderUpid = false;
-                ffso.stormNotification = false;
-                ffso.timerMisfire = false;
-                ffso.timerDelay = false;
-                ffso.timerSpurious = false;
-                ffso.dropForward = false;
-                ffso.delayForward = false;
-                ffso.descheduleWindow = false;
-                ffso.delayFfDetail = true;
-                ffso.dropFfRaise = true;
-                so = ffso;
-            }
-            if (rep.kind == ScenarioKind::CkptCrash) {
-                // Aim faults at the snapshot write path and plant
-                // the deschedule-storm livelock; also kill the cell
-                // once at a seed-determined event count so the
-                // crash-restore path runs in every cell.
-                so.dropCkptWrite = true;
-                so.tearCkptWrite = true;
-                so.flipCkptWrite = true;
-                so.truncateCkptWrite = true;
-                so.stormDeschedule = true;
-                cc.ckptEvery =
-                    cfg.ckptEvery != 0 ? cfg.ckptEvery : 512;
-                cc.crashAtEvent =
-                    256 + cellScheduleSeed(rep.kind, rep.seed) % 2048;
-                if (!cfg.ckptDir.empty())
-                    cc.ckptPathBase = cfg.ckptDir + "/cell_" +
-                        scenarioName(rep.kind) + "_" +
-                        std::to_string(rep.seed) + ".ckpt";
-            }
-            cc.schedule = fault::generateSchedule(
-                cellScheduleSeed(rep.kind, rep.seed), so);
-            cc.recovery = cfg.recovery;
-            cc.finalDrain = cfg.finalDrain;
-            cc.horizon = cfg.horizon;
-            cc.eventBudget = cfg.eventBudget;
-            if (rep.kind == ScenarioKind::CkptCrash) {
-                // A planted livelock costs the full budget per
-                // rollback attempt; clean ckpt cells fire ~10k
-                // events, so a tight budget keeps stuck detection
-                // (and the whole regression ladder) cheap without
-                // risking false trips.
-                cc.eventBudget =
-                    std::min<std::uint64_t>(cc.eventBudget, 64000);
-            }
+            const CellConfig cc = gridCell(cfg, rep.kind, rep.seed);
             rep.schedule = cc.schedule;
             rep.result = runCell(cc);
             rep.shrunk = rep.schedule;

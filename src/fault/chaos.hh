@@ -259,6 +259,10 @@ struct GridOutcome
     std::vector<CellReport> failures;
 };
 
+/** The config of grid cell (`kind`, `seed`), as runGrid() runs it. */
+CellConfig gridCell(const GridConfig &cfg, ScenarioKind kind,
+                    std::uint64_t seed);
+
 /** Run the grid (deterministic for every `jobs` value). */
 GridOutcome runGrid(const GridConfig &cfg);
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "cli/number.hh"
 #include "stats/rng.hh"
 
 namespace xui::fault
@@ -39,24 +40,6 @@ parseName(const std::string &text, const char *const *names,
     return false;
 }
 
-bool
-parseU64(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        std::uint64_t next = v * 10 + static_cast<unsigned>(c - '0');
-        if (next < v)
-            return false;
-        v = next;
-    }
-    out = v;
-    return true;
-}
-
 } // namespace
 
 const char *
@@ -90,13 +73,23 @@ Schedule::encode() const
 }
 
 bool
-Schedule::decode(const std::string &text, Schedule &out)
+Schedule::decode(const std::string &text, Schedule &out,
+                 DecodeError *why)
 {
+    auto reject = [why](DecodeError e) {
+        if (why != nullptr)
+            *why = e;
+        return false;
+    };
     Schedule parsed;
     if (text.empty()) {
         out = parsed;
         return true;
     }
+    // The number fields are read as C strings: an embedded NUL
+    // would cut one short and let trailing bytes through.
+    if (text.find('\0') != std::string::npos)
+        return reject(DecodeError::Shape);
     std::size_t pos = 0;
     while (pos <= text.size()) {
         std::size_t end = text.find(';', pos);
@@ -114,24 +107,23 @@ Schedule::decode(const std::string &text, Schedule &out)
             p = q + 1;
         }
         if (parts.size() != 4)
-            return false;
+            return reject(DecodeError::Shape);
 
         Directive d;
         std::size_t idx = 0;
         if (!parseName(parts[0], kSiteNames, kNumSites, idx))
-            return false;
+            return reject(DecodeError::Site);
         d.site = static_cast<Site>(idx);
-        std::uint64_t occ = 0;
-        if (!parseU64(parts[1], occ))
-            return false;
-        d.occurrence = occ;
+        if (!cli::parseU64Strict(parts[1].c_str(), d.occurrence))
+            return reject(DecodeError::Occurrence);
         if (!parseName(parts[2], kActionNames,
                        static_cast<std::size_t>(Action::kCount), idx))
-            return false;
+            return reject(DecodeError::Action);
         d.action = static_cast<Action>(idx);
         std::uint64_t mag = 0;
-        if (!parseU64(parts[3], mag) || mag > 0xffffffffull)
-            return false;
+        if (!cli::parseU64Strict(parts[3].c_str(), mag) ||
+            mag > 0xffffffffull)
+            return reject(DecodeError::Magnitude);
         d.magnitude = static_cast<std::uint32_t>(mag);
         parsed.directives.push_back(d);
 

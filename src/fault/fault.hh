@@ -119,9 +119,25 @@ struct Schedule
 {
     std::vector<Directive> directives;
 
+    /** Which part of a text decode() refused. */
+    enum class DecodeError : std::uint8_t
+    {
+        /** Not `;`-separated items of four `:`-separated fields. */
+        Shape,
+        Site,
+        Occurrence,
+        Action,
+        /** Not a number, or wider than 32 bits. */
+        Magnitude,
+    };
+
     std::string encode() const;
-    /** @return false on malformed text (`out` untouched). */
-    static bool decode(const std::string &text, Schedule &out);
+    /**
+     * @return false on malformed text (`out` untouched; `*why`, when
+     * given, names the refused part).
+     */
+    static bool decode(const std::string &text, Schedule &out,
+                       DecodeError *why = nullptr);
 
     bool empty() const { return directives.empty(); }
     std::size_t size() const { return directives.size(); }

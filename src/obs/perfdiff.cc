@@ -1,13 +1,9 @@
 #include "obs/perfdiff.hh"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
+#include "cli/flags.hh"
 #include "obs/json_parse.hh"
 
 namespace xui
@@ -62,11 +58,8 @@ parseTolRule(const std::string &arg, TolRule &out)
         rule.direction = -1;
         ++v;
     }
-    errno = 0;
-    char *end = nullptr;
-    double pct = std::strtod(v, &end);
-    if (errno != 0 || end == v || *end != '\0' ||
-        !std::isfinite(pct) || pct < 0.0)
+    double pct = 0.0;
+    if (!cli::parseDoubleStrict(v, pct) || pct < 0.0)
         return false;
     rule.pct = pct;
     out = rule;
@@ -141,112 +134,41 @@ perfDiff(const std::map<std::string, double> &base,
     return result;
 }
 
-namespace
+cli::Table
+perfdiffFlags(PerfDiffArgs &args)
 {
-
-void
-usage(std::FILE *out, const char *prog)
-{
-    std::fprintf(
-        out,
-        "usage: %s BASELINE.json CURRENT.json [options]\n"
-        "  --tol PCT           default tolerance in percent "
-        "(default 0 = exact)\n"
-        "  --rule PATTERN=SPEC per-metric tolerance; SPEC is PCT, "
-        "+PCT (only\n"
-        "                      increases fail), -PCT (only "
-        "decreases fail), or\n"
-        "                      skip. '*' wildcards; first matching "
-        "rule wins.\n"
-        "  --list              print every compared metric\n"
-        "  --version           print build provenance and exit\n"
-        "exit status: 0 within tolerance, 1 regressions, 2 usage "
-        "or parse error\n",
-        prog);
+    const cli::Reader rule{
+        [&args](const char *v) {
+            TolRule r;
+            if (!parseTolRule(v, r))
+                return false;
+            args.opts.rules.push_back(r);
+            return true;
+        },
+        "PATTERN=PCT|+PCT|-PCT|skip", cli::Kind::Custom};
+    return {{{"--tol", "PCT", "default tolerance in percent (0 = exact)",
+              &args.opts.defaultTolPct},
+             {"--rule", "PATTERN=SPEC",
+              "per-metric tolerance: PCT, +PCT (only increases fail), "
+              "-PCT or skip; '*' wildcards; first match wins",
+              rule},
+             {"--list", "", "print every compared metric", &args.list}},
+            {{"BASELINE.json", &args.basePath},
+             {"CURRENT.json", &args.curPath}}};
 }
-
-} // namespace
 
 int
 perfdiffMain(int argc, char **argv)
 {
     const char *prog = argc > 0 ? argv[0] : "xui_perfdiff";
-    std::string basePath, curPath;
-    PerfDiffOptions opts;
-    bool list = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--tol") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --tol needs a value\n",
-                             prog);
-                usage(stderr, prog);
-                return 2;
-            }
-            const char *v = argv[++i];
-            errno = 0;
-            char *end = nullptr;
-            double pct = std::strtod(v, &end);
-            if (errno != 0 || end == v || *end != '\0' ||
-                !std::isfinite(pct) || pct < 0.0) {
-                std::fprintf(stderr,
-                             "%s: --tol needs a non-negative "
-                             "percent, got '%s'\n",
-                             prog, v);
-                usage(stderr, prog);
-                return 2;
-            }
-            opts.defaultTolPct = pct;
-        } else if (std::strcmp(arg, "--rule") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --rule needs a value\n",
-                             prog);
-                usage(stderr, prog);
-                return 2;
-            }
-            const char *v = argv[++i];
-            TolRule rule;
-            if (!parseTolRule(v, rule)) {
-                std::fprintf(stderr,
-                             "%s: malformed --rule '%s' (expected "
-                             "PATTERN=PCT|+PCT|-PCT|skip)\n",
-                             prog, v);
-                usage(stderr, prog);
-                return 2;
-            }
-            opts.rules.push_back(rule);
-        } else if (std::strcmp(arg, "--list") == 0) {
-            list = true;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            usage(stdout, prog);
-            return 0;
-        } else if (std::strcmp(arg, "--version") == 0) {
-            std::printf("%s %s (%s), snapshot format %u\n", prog,
-                        ckpt::kBuildGitSha, ckpt::kBuildType,
-                        static_cast<unsigned>(ckpt::kFormatVersion));
-            return 0;
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n",
-                         prog, arg);
-            usage(stderr, prog);
-            return 2;
-        } else if (basePath.empty()) {
-            basePath = arg;
-        } else if (curPath.empty()) {
-            curPath = arg;
-        } else {
-            std::fprintf(stderr, "%s: too many positionals\n",
-                         prog);
-            usage(stderr, prog);
-            return 2;
-        }
-    }
-    if (basePath.empty() || curPath.empty()) {
-        std::fprintf(stderr,
-                     "%s: need BASELINE and CURRENT files\n", prog);
-        usage(stderr, prog);
-        return 2;
-    }
+    PerfDiffArgs args;
+    const cli::Table table = perfdiffFlags(args);
+    const int rc =
+        cli::finish(table, cli::parse(table, argc, argv), prog);
+    if (rc >= 0)
+        return rc;
+    const std::string &basePath = args.basePath;
+    const std::string &curPath = args.curPath;
 
     JsonValue baseDoc, curDoc;
     std::string error;
@@ -265,9 +187,9 @@ perfdiffMain(int argc, char **argv)
     flattenNumbers(baseDoc, "", base);
     flattenNumbers(curDoc, "", cur);
 
-    PerfDiffResult result = perfDiff(base, cur, opts);
+    PerfDiffResult result = perfDiff(base, cur, args.opts);
 
-    if (list) {
+    if (args.list) {
         for (const auto &[path, b] : base) {
             auto it = cur.find(path);
             std::printf("  %-56s %14g -> %s\n", path.c_str(), b,

@@ -34,6 +34,11 @@
 namespace xui
 {
 
+namespace cli
+{
+struct Table;
+} // namespace cli
+
 /** One `--rule` entry (see file comment for the grammar). */
 struct TolRule
 {
@@ -85,6 +90,18 @@ bool parseTolRule(const std::string &arg, TolRule &out);
 PerfDiffResult perfDiff(const std::map<std::string, double> &base,
                         const std::map<std::string, double> &cur,
                         const PerfDiffOptions &opts);
+
+/** What xui_perfdiff's command line holds. */
+struct PerfDiffArgs
+{
+    std::string basePath;
+    std::string curPath;
+    PerfDiffOptions opts;
+    bool list = false;
+};
+
+/** xui_perfdiff's flag table (cli/flags.hh), storing into `args`. */
+cli::Table perfdiffFlags(PerfDiffArgs &args);
 
 /**
  * Full CLI (argv[0] is the program name): parses flags, loads both

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "obs/metrics.hh"
 #include "os/kernel.hh"
 #include "runtime/sender.hh"
+#include "stats/rng.hh"
 #include "uarch/interrupt_unit.hh"
 
 using namespace xui;
@@ -62,7 +65,90 @@ TEST(FaultSchedule, DecodeRejectsMalformed)
     EXPECT_FALSE(fault::Schedule::decode("nonsense", out));
     EXPECT_FALSE(fault::Schedule::decode("notify_ipi:x:drop:0", out));
     EXPECT_FALSE(fault::Schedule::decode("notify_ipi:1:zap:0", out));
+    EXPECT_FALSE(fault::Schedule::decode(
+        std::string("notify_ipi:1\0" "9:drop:0", 21), out));
     EXPECT_TRUE(out.empty());
+}
+
+TEST(FaultSchedule, DecodeRejectsOccurrenceOverflow)
+{
+    // 3e19 wraps 64 bits to a value above the partial sum before the
+    // last digit, so a wrapped-product check lets it through.
+    using Err = fault::Schedule::DecodeError;
+    fault::Schedule out;
+    Err why = Err::Shape;
+    EXPECT_FALSE(fault::Schedule::decode(
+        "notify_ipi:30000000000000000000:drop:0", out, &why));
+    EXPECT_EQ(why, Err::Occurrence);
+    EXPECT_FALSE(fault::Schedule::decode(
+        "notify_ipi:18446744073709551616:drop:0", out));
+    EXPECT_TRUE(out.empty());
+    ASSERT_TRUE(fault::Schedule::decode(
+        "notify_ipi:18446744073709551615:drop:0", out));
+    EXPECT_EQ(out.directives[0].occurrence, UINT64_MAX);
+}
+
+TEST(FaultSchedule, DecodeSurvivesSeededMutations)
+{
+    using Err = fault::Schedule::DecodeError;
+    fault::ScheduleOptions so;
+    so.dropModerationFlush = true;
+    so.delayModerationFlush = true;
+    so.dropPreemptSave = true;
+    so.dropCkptWrite = true;
+    so.stormDeschedule = true;
+    const std::string alphabet = std::string(":;0123456789_az") + '\0';
+    Rng rng(0x5c4ed);
+    std::array<unsigned, 5> rejects{};
+    unsigned accepted = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        so.directives = 1 + static_cast<unsigned>(rng.nextBounded(4));
+        std::string text =
+            fault::generateSchedule(rng.next(), so).encode();
+        for (int m = 0, n = 1 + static_cast<int>(rng.nextBounded(3));
+             m < n && !text.empty(); ++m) {
+            const std::size_t at = rng.nextBounded(text.size());
+            switch (rng.nextBounded(6)) {
+            case 0: // flip a byte
+                text[at] = static_cast<char>(
+                    text[at] ^ (1u << rng.nextBounded(8)));
+                break;
+            case 1: // delete a byte
+                text.erase(at, 1);
+                break;
+            case 2: // insert a separator, digit, letter or NUL
+                text.insert(at, 1,
+                            alphabet[rng.nextBounded(alphabet.size())]);
+                break;
+            case 3: // truncate
+                text.resize(at);
+                break;
+            case 4: // duplicate a span
+                text.insert(at, text.substr(at, rng.nextBounded(12)));
+                break;
+            default: // inflate a number past 2^64
+                text.insert(at, "99999999999999999999");
+                break;
+            }
+        }
+        fault::Schedule out;
+        Err why = static_cast<Err>(0xff);
+        if (fault::Schedule::decode(text, out, &why)) {
+            ++accepted;
+            fault::Schedule again;
+            ASSERT_TRUE(fault::Schedule::decode(out.encode(), again))
+                << text;
+            ASSERT_EQ(again.directives, out.directives) << text;
+        } else {
+            ASSERT_LT(static_cast<std::size_t>(why), rejects.size())
+                << "unclassified reject of '" << text << "'";
+            ASSERT_TRUE(out.empty()) << text;
+            ++rejects[static_cast<std::size_t>(why)];
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    for (std::size_t c = 0; c < rejects.size(); ++c)
+        EXPECT_GT(rejects[c], 0u) << "reject class " << c;
 }
 
 TEST(FaultSchedule, GenerationIsDeterministic)

@@ -713,7 +713,7 @@ parse(std::vector<std::string> argv_strings)
     for (std::string &s : argv_strings)
         argv.push_back(s.data());
     return bench::parseArgs(static_cast<int>(argv.size()),
-                            argv.data());
+                            argv.data(), bench::kAllFlags);
 }
 
 } // namespace

@@ -18,22 +18,20 @@
  * The gate fails (exit 1) when the median attached slowdown exceeds
  * 2% — the budget CI grants the whole observation layer.
  *
- * Usage: bench_obs_overhead [--quick] [--trials N]
+ * `--help` prints the flags (tools/tool_flags.hh).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <vector>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
 #include "obs/sampler.hh"
 #include "uarch/uarch_system.hh"
 #include "verify/scenario.hh"
+#include "tool_flags.hh"
 
 namespace
 {
@@ -79,45 +77,21 @@ median(std::vector<double> v)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    unsigned trials = 5;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--trials") == 0 &&
-                   i + 1 < argc) {
-            trials = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (trials == 0)
-                trials = 1;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
-            std::printf("%s %s (%s), snapshot format %u\n",
-                        argv[0], xui::ckpt::kBuildGitSha,
-                        xui::ckpt::kBuildType,
-                        static_cast<unsigned>(
-                            xui::ckpt::kFormatVersion));
-            return 0;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--trials N] "
-                         "[--version]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    xui::tools::ObsOverheadOptions opt;
+    xui::cli::parseOrExit(xui::tools::obsOverheadFlags(opt), argc, argv);
 
     xui::ScenarioConfig cfg;
     cfg.programSeed = 7;
     cfg.systemSeed = 7 * 1000003 + 17;
     cfg.timerPeriod = 600;
-    cfg.targetInsts = quick ? 20000 : 100000;
+    cfg.targetInsts = opt.quick ? 20000 : 100000;
     cfg.extraCycles = 4000;
 
     // Warm-up run (page in code + allocator state) then interleaved
     // A/B trials; medians cancel one-off host noise.
     runOnce(cfg, false);
     std::vector<double> detached, attached;
-    for (unsigned t = 0; t < trials; ++t) {
+    for (unsigned t = 0; t < opt.trials; ++t) {
         detached.push_back(runOnce(cfg, false));
         attached.push_back(runOnce(cfg, true));
     }
@@ -128,7 +102,7 @@ main(int argc, char **argv)
     std::printf("bench_obs_overhead: detached %.6fs, attached "
                 "(sampling off) %.6fs, delta %+.2f%% (budget "
                 "%.1f%%, %u trials)\n",
-                d, a, pct, kBudgetPct, trials);
+                d, a, pct, kBudgetPct, opt.trials);
     if (pct > kBudgetPct) {
         std::printf("FAIL: profiling hook costs more than %.1f%% "
                     "with sampling off\n",

@@ -33,234 +33,21 @@
  * newest valid generation and the resumed run must match the
  * crash-free one bit for bit.
  *
- * Usage:
- *   xui_chaos [--scenario NAME|all] [--seeds N] [--seed-base S]
- *             [--jobs N] [--directives N] [--horizon CYCLES]
- *             [--budget EVENTS] [--no-recovery] [--no-shrink]
- *             [--checkpoint-every N] [--ckpt-dir DIR]
- *             [--out-dir DIR] [--quiet] [--list] [--version]
- *   xui_chaos --replay --scenario NAME --seed S --schedule TEXT
- *             [--checkpoint-every N] [--crash-at K]
- *             [--ckpt-dir DIR] [--restore FILE]
+ * `--help` prints the flags (tools/tool_flags.hh).
  */
 
-#include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
 #include "fault/chaos.hh"
-#include "fault/fault.hh"
+#include "tool_flags.hh"
 
 using namespace xui;
 
 namespace
 {
-
-struct Options
-{
-    std::string scenario = "all";
-    unsigned seeds = 40;
-    std::uint64_t seedBase = 1;
-    unsigned jobs = 1;
-    unsigned directives = 8;
-    Cycles horizon = 200000;
-    std::uint64_t budget = 2000000;
-    bool recovery = true;
-    bool shrinkFailures = true;
-    bool quiet = false;
-    bool list = false;
-    bool replay = false;
-    std::uint64_t seed = 1;
-    std::string schedule;
-    std::string outDir;
-    std::uint64_t checkpointEvery = 0;
-    std::uint64_t crashAt = 0;
-    std::string ckptDir;
-    std::string restorePath;
-};
-
-void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--scenario NAME|all] [--seeds N] [--seed-base S]\n"
-        << "       [--jobs N] [--directives N] [--horizon CYCLES]\n"
-        << "       [--budget EVENTS] [--no-recovery] [--no-shrink]\n"
-        << "       [--checkpoint-every N] [--ckpt-dir DIR]\n"
-        << "       [--out-dir DIR] [--quiet] [--list] [--version]\n"
-        << "       " << argv0
-        << " --replay --scenario NAME --seed S --schedule TEXT\n"
-        << "       [--checkpoint-every N] [--crash-at K]\n"
-        << "       [--ckpt-dir DIR] [--restore FILE]\n";
-}
-
-/** Digits only, no sign/whitespace/trailing junk, must fit u64. */
-bool
-parseU64Strict(const char *s, std::uint64_t &out)
-{
-    if (*s == '\0')
-        return false;
-    std::uint64_t v = 0;
-    for (const char *p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        std::uint64_t d = static_cast<std::uint64_t>(*p - '0');
-        if (v > (~std::uint64_t(0) - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--scenario") == 0) {
-            const char *v = need("--scenario");
-            if (!v)
-                return false;
-            opt.scenario = v;
-        } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            const char *v = need("--seeds");
-            if (!v)
-                return false;
-            opt.seeds =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--seed-base") == 0) {
-            const char *v = need("--seed-base");
-            if (!v)
-                return false;
-            opt.seedBase = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            const char *v = need("--seed");
-            if (!v)
-                return false;
-            opt.seed = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            const char *v = need("--jobs");
-            if (!v)
-                return false;
-            if (!exec::parseJobs(v, opt.jobs)) {
-                std::cerr << "--jobs needs an integer >= 1, got '"
-                          << v << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--directives") == 0) {
-            const char *v = need("--directives");
-            if (!v)
-                return false;
-            opt.directives =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--horizon") == 0) {
-            const char *v = need("--horizon");
-            if (!v)
-                return false;
-            opt.horizon = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--budget") == 0) {
-            const char *v = need("--budget");
-            if (!v)
-                return false;
-            opt.budget = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--no-recovery") == 0) {
-            opt.recovery = false;
-        } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
-            opt.shrinkFailures = false;
-        } else if (std::strcmp(argv[i], "--schedule") == 0) {
-            const char *v = need("--schedule");
-            if (!v)
-                return false;
-            opt.schedule = v;
-        } else if (std::strcmp(argv[i], "--out-dir") == 0) {
-            const char *v = need("--out-dir");
-            if (!v)
-                return false;
-            opt.outDir = v;
-        } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-            const char *v = need("--checkpoint-every");
-            if (!v)
-                return false;
-            if (!parseU64Strict(v, opt.checkpointEvery) ||
-                opt.checkpointEvery == 0) {
-                std::cerr << "--checkpoint-every needs an integer "
-                             ">= 1, got '"
-                          << v << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--crash-at") == 0) {
-            const char *v = need("--crash-at");
-            if (!v)
-                return false;
-            if (!parseU64Strict(v, opt.crashAt) ||
-                opt.crashAt == 0) {
-                std::cerr << "--crash-at needs an integer >= 1, "
-                             "got '"
-                          << v << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--ckpt-dir") == 0) {
-            const char *v = need("--ckpt-dir");
-            if (!v)
-                return false;
-            opt.ckptDir = v;
-        } else if (std::strcmp(argv[i], "--restore") == 0) {
-            const char *v = need("--restore");
-            if (!v)
-                return false;
-            opt.restorePath = v;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
-            std::cout << "xui_chaos " << ckpt::kBuildGitSha << " ("
-                      << ckpt::kBuildType << "), snapshot format "
-                      << ckpt::kFormatVersion << '\n';
-            std::exit(0);
-        } else if (std::strcmp(argv[i], "--replay") == 0) {
-            opt.replay = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opt.quiet = true;
-        } else if (std::strcmp(argv[i], "--list") == 0) {
-            opt.list = true;
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(argv[0]);
-            std::exit(0);
-        } else {
-            std::cerr << "unknown flag: " << argv[i] << '\n';
-            usage(argv[0]);
-            return false;
-        }
-    }
-    return true;
-}
-
-std::string
-replayCommand(const chaos::CellReport &rep, const Options &opt)
-{
-    std::string cmd = "xui_chaos --replay --scenario ";
-    cmd += chaos::scenarioName(rep.kind);
-    cmd += " --seed " + std::to_string(rep.seed);
-    cmd += " --schedule \"" + rep.shrunk.encode() + "\"";
-    if (!opt.recovery)
-        cmd += " --no-recovery";
-    if (opt.horizon != 200000)
-        cmd += " --horizon " + std::to_string(opt.horizon);
-    return cmd;
-}
 
 void
 printCell(const chaos::CellResult &r)
@@ -297,26 +84,13 @@ printCell(const chaos::CellResult &r)
 }
 
 int
-runReplay(const Options &opt)
+runReplay(const tools::ChaosOptions &opt)
 {
-    chaos::CellConfig cc;
-    if (!chaos::parseScenario(opt.scenario, cc.kind)) {
+    if (!opt.scenario) {
         std::cerr << "--replay needs a concrete --scenario name\n";
         return 2;
     }
-    if (!fault::Schedule::decode(opt.schedule, cc.schedule)) {
-        std::cerr << "malformed --schedule '" << opt.schedule
-                  << "'\n";
-        return 2;
-    }
-    cc.seed = opt.seed;
-    cc.recovery = opt.recovery;
-    cc.finalDrain = opt.recovery;
-    cc.horizon = opt.horizon;
-    cc.eventBudget = opt.budget;
-    cc.ckptEvery = opt.checkpointEvery;
-    cc.crashAtEvent = opt.crashAt;
-    cc.restoreFrom = opt.restorePath;
+    const chaos::CellConfig cc = tools::replayCell(opt);
     if (!opt.ckptDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opt.ckptDir, ec);
@@ -325,12 +99,6 @@ runReplay(const Options &opt)
                       << ec.message() << '\n';
             return 2;
         }
-        cc.ckptPathBase = opt.ckptDir + "/replay_" +
-                          std::string(chaos::scenarioName(cc.kind)) +
-                          "_" + std::to_string(cc.seed) + ".ckpt";
-        // Snapshots written on explicit request are the product:
-        // keep them so a later --restore can resume from them.
-        cc.ckptKeepFiles = true;
     }
 
     chaos::CellResult r = chaos::runCell(cc);
@@ -345,25 +113,18 @@ runReplay(const Options &opt)
 }
 
 int
-runGridMain(const Options &opt)
+runGridMain(const tools::ChaosOptions &opt)
 {
     chaos::GridConfig gc;
-    if (opt.scenario != "all") {
-        chaos::ScenarioKind k;
-        if (!chaos::parseScenario(opt.scenario, k)) {
-            std::cerr << "unknown scenario '" << opt.scenario
-                      << "' (try --list)\n";
-            return 2;
-        }
-        gc.kinds.push_back(k);
-    }
+    if (opt.scenario)
+        gc.kinds.push_back(*opt.scenario);
     gc.seeds = opt.seeds;
     gc.seedBase = opt.seedBase;
     gc.jobs = opt.jobs;
     gc.schedule.directives = opt.directives;
-    gc.recovery = opt.recovery;
-    gc.finalDrain = opt.recovery;
-    gc.shrinkFailures = opt.shrinkFailures;
+    gc.recovery = !opt.noRecovery;
+    gc.finalDrain = !opt.noRecovery;
+    gc.shrinkFailures = !opt.noShrink;
     gc.horizon = opt.horizon;
     gc.eventBudget = opt.budget;
     gc.ckptDir = opt.ckptDir;
@@ -395,11 +156,14 @@ runGridMain(const Options &opt)
                       << ec.message() << '\n';
     }
     for (const auto &rep : out.failures) {
+        chaos::CellConfig cell = chaos::gridCell(gc, rep.kind, rep.seed);
+        cell.schedule = rep.shrunk;
+        const std::string replay = tools::replayCommand(cell);
         std::cout << "FAIL " << chaos::scenarioName(rep.kind)
                   << " seed " << rep.seed << "\n  schedule:  "
                   << rep.schedule.encode() << "\n  shrunk to: "
-                  << rep.shrunk.encode() << "\n  replay:    "
-                  << replayCommand(rep, opt) << '\n';
+                  << rep.shrunk.encode() << "\n  replay:    " << replay
+                  << '\n';
         for (const auto &v : rep.result.violations)
             std::cout << "  violation: " << v << '\n';
         if (!opt.outDir.empty()) {
@@ -411,10 +175,8 @@ runGridMain(const Options &opt)
             // Provenance stamp: replaying a .repro against a
             // different binary is the classic silent-divergence
             // trap, so record the producer (cf. --version).
-            f << "# built-by: " << ckpt::kBuildGitSha << " ("
-              << ckpt::kBuildType << "), snapshot format "
-              << ckpt::kFormatVersion << '\n';
-            f << replayCommand(rep, opt) << '\n';
+            f << "# built-by: " << cli::provenance() << '\n';
+            f << replay << '\n';
             for (const auto &v : rep.result.violations)
                 f << "# " << v << '\n';
         }
@@ -434,12 +196,11 @@ runGridMain(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    Options opt;
+    tools::ChaosOptions opt;
     // Usage errors exit 2, matching the bench convention, so CI can
     // tell "bad invocation" apart from "cells failed" (also 2 — both
     // mean the run produced no trustworthy result).
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    cli::parseOrExit(tools::chaosFlags(opt), argc, argv);
     if (!opt.restorePath.empty() && !opt.replay) {
         std::cerr << "--restore is a --replay flag (a snapshot "
                      "resumes one cell, not a grid)\n";

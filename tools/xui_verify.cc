@@ -40,184 +40,41 @@
  * crash-consistent snapshot engine. --version prints the build
  * provenance stamped into snapshot headers.
  *
- * Usage:
- *   xui_verify [--programs N] [--seeds K] [--insts M]
- *              [--timer-us U] [--safepoints] [--quiet] [--jobs N]
- *              [--record FILE | --replay FILE]
- *              [--record-seed S]
- *              [--roundtrip] [--snapshot-dir DIR]
- *              [--metrics-json FILE] [--trace-json FILE]
- *              [--version]
+ * `--help` prints the flags (tools/tool_flags.hh).
  */
 
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "ckpt/build_info.hh"
-#include "ckpt/snapshot.hh"
-#include "exec/sweep.hh"
 #include "obs/session.hh"
 #include "obs/trace_export.hh"
 #include "verify/corpus.hh"
 #include "verify/roundtrip.hh"
 #include "verify/scenario.hh"
+#include "tool_flags.hh"
 
 using namespace xui;
 
 namespace
 {
 
-struct Options
-{
-    std::uint64_t programs = 20;
-    std::uint64_t seeds = 2;
-    std::uint64_t insts = 20000;
-    double timerUs = 2.0;
-    bool safepoints = false;
-    bool quiet = false;
-    std::string recordPath;
-    std::string replayPath;
-    std::uint64_t recordSeed = 1;
-    std::string metricsJson;
-    std::string traceJson;
-    /** Sweep worker threads (0 = one per hardware thread). */
-    unsigned jobs = 0;
-    /** `--roundtrip`: golden-corpus checkpoint round-trip sweep. */
-    bool roundtrip = false;
-    /** `--snapshot-dir DIR`: on-disk snapshots for --roundtrip. */
-    std::string snapshotDir;
-};
-
-void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--programs N] [--seeds K] [--insts M] [--timer-us U]\n"
-        << "       [--safepoints] [--quiet] [--jobs N]\n"
-        << "       [--record FILE | --replay FILE] "
-        << "[--record-seed S]\n"
-        << "       [--roundtrip] [--snapshot-dir DIR]\n"
-        << "       [--metrics-json FILE] [--trace-json FILE]\n"
-        << "       [--version]\n";
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--programs") == 0) {
-            const char *v = need("--programs");
-            if (!v)
-                return false;
-            opt.programs = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            const char *v = need("--seeds");
-            if (!v)
-                return false;
-            opt.seeds = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--insts") == 0) {
-            const char *v = need("--insts");
-            if (!v)
-                return false;
-            opt.insts = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--timer-us") == 0) {
-            const char *v = need("--timer-us");
-            if (!v)
-                return false;
-            opt.timerUs = std::strtod(v, nullptr);
-        } else if (std::strcmp(argv[i], "--safepoints") == 0) {
-            opt.safepoints = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opt.quiet = true;
-        } else if (std::strcmp(argv[i], "--record") == 0) {
-            const char *v = need("--record");
-            if (!v)
-                return false;
-            opt.recordPath = v;
-        } else if (std::strcmp(argv[i], "--replay") == 0) {
-            const char *v = need("--replay");
-            if (!v)
-                return false;
-            opt.replayPath = v;
-        } else if (std::strcmp(argv[i], "--record-seed") == 0) {
-            const char *v = need("--record-seed");
-            if (!v)
-                return false;
-            opt.recordSeed = std::strtoull(v, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-            const char *v = need("--metrics-json");
-            if (!v)
-                return false;
-            opt.metricsJson = v;
-        } else if (std::strcmp(argv[i], "--trace-json") == 0) {
-            const char *v = need("--trace-json");
-            if (!v)
-                return false;
-            opt.traceJson = v;
-        } else if (std::strcmp(argv[i], "--roundtrip") == 0) {
-            opt.roundtrip = true;
-        } else if (std::strcmp(argv[i], "--snapshot-dir") == 0) {
-            const char *v = need("--snapshot-dir");
-            if (!v)
-                return false;
-            opt.snapshotDir = v;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
-            std::cout << "xui_verify " << ckpt::kBuildGitSha << " ("
-                      << ckpt::kBuildType << "), snapshot format "
-                      << ckpt::kFormatVersion << '\n';
-            std::exit(0);
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            const char *v = need("--jobs");
-            if (!v)
-                return false;
-            if (!exec::parseJobs(v, opt.jobs)) {
-                std::cerr << "--jobs needs an integer >= 1, got '"
-                          << v << "'\n";
-                usage(argv[0]);
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(argv[0]);
-            std::exit(0);
-        } else {
-            std::cerr << "unknown flag: " << argv[i] << '\n';
-            usage(argv[0]);
-            return false;
-        }
-    }
-    return true;
-}
-
 ScenarioConfig
-goldenScenario(const Options &opt)
+goldenScenario(const tools::VerifyOptions &opt)
 {
     ScenarioConfig cfg;
     cfg.programSeed = opt.recordSeed;
     cfg.systemSeed = opt.recordSeed;
     cfg.strategy = DeliveryStrategy::Tracked;
     cfg.program.deterministicControl = true;
-    cfg.timerPeriod = usToCycles(opt.timerUs);
-    cfg.targetInsts = opt.insts;
+    cfg.timerPeriod = usToCycles(opt.corpus.timerUs);
+    cfg.targetInsts = opt.corpus.insts;
     return cfg;
 }
 
 int
-recordGolden(const Options &opt)
+recordGolden(const tools::VerifyOptions &opt)
 {
     TraceLog log;
     ScenarioResult r = runScenario(goldenScenario(opt), &log);
@@ -233,7 +90,7 @@ recordGolden(const Options &opt)
 }
 
 int
-replayGolden(const Options &opt)
+replayGolden(const tools::VerifyOptions &opt)
 {
     TraceLog golden;
     if (!golden.loadFile(opt.replayPath)) {
@@ -253,7 +110,7 @@ replayGolden(const Options &opt)
 
 /** Golden-corpus checkpoint round-trip sweep (--roundtrip). */
 int
-runRoundTripMode(const Options &opt)
+runRoundTripMode(const tools::VerifyOptions &opt)
 {
     if (!opt.snapshotDir.empty()) {
         std::error_code ec;
@@ -265,7 +122,7 @@ runRoundTripMode(const Options &opt)
         }
     }
     CorpusRoundTripOptions ro;
-    ro.jobs = opt.jobs;
+    ro.jobs = opt.corpus.jobs;
     ro.snapshotDir = opt.snapshotDir;
     CorpusRoundTripSummary sum = runCorpusRoundTrip(ro);
     if (!opt.quiet) {
@@ -287,7 +144,7 @@ runRoundTripMode(const Options &opt)
  * metrics / trace exports. No-op (exit 0) when neither flag is set.
  */
 int
-exportObservability(const Options &opt)
+exportObservability(const tools::VerifyOptions &opt)
 {
     ObsSession obs(opt.metricsJson, opt.traceJson);
     if (!obs.enabled())
@@ -308,9 +165,8 @@ exportObservability(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
+    tools::VerifyOptions opt;
+    cli::parseOrExit(tools::verifyFlags(opt), argc, argv);
 
     if (!opt.recordPath.empty())
         return recordGolden(opt);
@@ -321,16 +177,8 @@ main(int argc, char **argv)
 
     const int obs_rc = exportObservability(opt);
 
-    CorpusOptions copt;
-    copt.programs = opt.programs;
-    copt.seeds = opt.seeds;
-    copt.insts = opt.insts;
-    copt.timerUs = opt.timerUs;
-    copt.safepoints = opt.safepoints;
-    copt.jobs = opt.jobs;
-
-    CorpusSummary sum = runVerifyCorpus(copt);
-    std::cout << renderCorpusSummary(copt, sum, opt.quiet);
+    CorpusSummary sum = runVerifyCorpus(opt.corpus);
+    std::cout << renderCorpusSummary(opt.corpus, sum, opt.quiet);
     if (!sum.ok())
         return 1;
     return obs_rc;
