@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the substrate components:
  * LPM lookup, skiplist operations, histogram recording, event-queue
- * throughput, cache-model access, branch-predictor updates and the
- * 256-bit vector bitmap. These measure the *simulator's* own
+ * throughput, cache-model construction and access, branch-predictor
+ * updates, the 256-bit vector bitmap and the pipeline-event digest.
+ * These measure the *simulator's* own
  * performance, guarding against regressions that would make the
  * figure benches impractically slow.
  */
@@ -19,6 +20,7 @@
 #include "stats/rng.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
+#include "verify/digest_tracer.hh"
 
 using namespace xui;
 
@@ -113,6 +115,18 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/** A Table-3 hierarchy (32 MiB LLC) built and dropped, untouched. */
+static void
+BM_CacheConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        MemHierarchy mem;
+        benchmark::DoNotOptimize(&mem);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_CacheConstruct);
+
 static void
 BM_PredictorUpdate(benchmark::State &state)
 {
@@ -148,5 +162,24 @@ BM_RngNext(benchmark::State &state)
         benchmark::DoNotOptimize(rng.next());
 }
 BENCHMARK(BM_RngNext);
+
+/** One pipeline event folded into the full and commit digests. */
+static void
+BM_DigestTracerEvent(benchmark::State &state)
+{
+    DigestTracer tracer;
+    Cycles cycle = 1000;
+    std::uint64_t seq = 0;
+    std::uint32_t pc = 0x400000;
+    for (auto _ : state) {
+        tracer.event(seq % 5 == 0 ? TraceEvent::Commit : TraceEvent::Issue,
+                     cycle, seq, pc, OpClass::IntAlu);
+        benchmark::DoNotOptimize(tracer.fullDigest());
+        cycle += seq & 1;
+        ++seq;
+        pc += 4;
+    }
+}
+BENCHMARK(BM_DigestTracerEvent);
 
 BENCHMARK_MAIN();

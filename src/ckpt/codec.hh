@@ -112,6 +112,19 @@ class Writer
         out_.append(s);
     }
 
+    /**
+     * A region of `n` bytes that encodes as all zeros when `blank`
+     * (e.g. a never-touched cache set). Appends the zeros and returns
+     * true; returns false when not blank, and the caller encodes the
+     * region field by field.
+     */
+    bool zeroRun(bool blank, std::size_t n)
+    {
+        if (blank)
+            out_.append(n, '\0');
+        return blank;
+    }
+
     const std::string &data() const { return out_; }
     std::string take() { return std::move(out_); }
     std::size_t size() const { return out_.size(); }
@@ -120,8 +133,10 @@ class Writer
     template <class T>
     void le(T v)
     {
+        char word[sizeof(T)] = {};
         for (unsigned i = 0; i < sizeof(T); ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+            word[i] = static_cast<char>(v >> (8 * i));
+        out_.append(word, sizeof(T));
     }
 
     std::string out_;
@@ -213,6 +228,36 @@ class Reader
             return fail();
         s.assign(p_ + pos_, static_cast<std::size_t>(len));
         pos_ += static_cast<std::size_t>(len);
+        return true;
+    }
+
+    /**
+     * Skip `n` bytes when `blank` (the target region is in its
+     * never-touched state) and the bytes are all zero, checked a word
+     * at a time; returns true. Otherwise reads nothing and returns
+     * false, and the caller decodes the region field by field. A
+     * blank run cut short by the buffer's end (or on a failed stream)
+     * fails sticky and returns true: the blank target stays as it is.
+     */
+    bool zeroRun(bool blank, std::size_t n)
+    {
+        if (!blank)
+            return false;
+        if (!need(n))
+            return true;
+        const char *p = p_ + pos_;
+        std::size_t i = 0;
+        std::uint64_t any = 0;
+        for (; i + 8 <= n; i += 8) {
+            std::uint64_t word = 0;
+            std::memcpy(&word, p + i, 8);
+            any |= word;
+        }
+        for (; i < n; ++i)
+            any |= static_cast<std::uint8_t>(p[i]);
+        if (any != 0)
+            return false;
+        pos_ += n;
         return true;
     }
 

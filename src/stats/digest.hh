@@ -5,11 +5,19 @@
  * byte-serial, so two streams match iff every folded word matches in
  * order — exactly the property a determinism check needs. It is not
  * cryptographic and does not try to be.
+ *
+ * Folding a zero byte is a bare multiply, (h ^ 0) * P = h * P, so k
+ * zero bytes fold as one multiply by P^k (mod 2^64). Word folds use
+ * that for the zero high bytes of a word, which most cycle counts,
+ * sequence numbers and PCs have, and byte ranges fold a word at a
+ * time. The value is the byte-serial FNV-1a value, bit for bit.
  */
 
 #ifndef XUI_STATS_DIGEST_HH
 #define XUI_STATS_DIGEST_HH
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -31,13 +39,22 @@ class Fnv1a
         ++bytes_;
     }
 
-    /** Fold a 64-bit word, little-endian byte order. */
+    /**
+     * Fold a 64-bit word, little-endian byte order: the significant
+     * low bytes one at a time, then the zero high bytes as one
+     * multiply by P^k.
+     */
     void update(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            updateByte(static_cast<std::uint8_t>(v));
+        const unsigned significant =
+            static_cast<unsigned>(71 - std::countl_zero(v)) / 8;
+        std::uint64_t h = hash_;
+        for (unsigned i = 0; i < significant; ++i) {
+            h = (h ^ (v & 0xff)) * kPrime;
             v >>= 8;
         }
+        hash_ = h * kPrimePow[8 - significant];
+        bytes_ += 8;
     }
 
     /** Fold a raw byte range. */
@@ -69,6 +86,15 @@ class Fnv1a
     }
 
   private:
+    /** kPrimePow[k] = P^k mod 2^64: folds k zero bytes at once. */
+    static constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+        std::array<std::uint64_t, 9> pow{};
+        pow[0] = 1;
+        for (std::size_t k = 1; k < pow.size(); ++k)
+            pow[k] = pow[k - 1] * kPrime;
+        return pow;
+    }();
+
     std::uint64_t hash_ = kOffsetBasis;
     std::uint64_t bytes_ = 0;
 };

@@ -17,7 +17,8 @@ Cache::Cache(std::uint64_t size_bytes, unsigned assoc,
       hitLatency_(hit_latency),
       missLatency_(miss_latency),
       next_(next),
-      lines_(numSets_ * assoc),
+      lines_(std::make_unique_for_overwrite<Line[]>(numSets_ * assoc)),
+      live_(std::make_unique<std::uint64_t[]>((numSets_ + 63) / 64)),
       stamp_(0),
       hits_(0),
       misses_(0)
@@ -44,7 +45,7 @@ Cache::access(std::uint64_t addr)
 {
     std::uint64_t set = setIndex(addr);
     std::uint64_t tag = tagOf(addr);
-    Line *base = &lines_[set * assoc_];
+    Line *base = touchSet(set);
 
     Line *victim = base;
     for (unsigned w = 0; w < assoc_; ++w) {
@@ -74,6 +75,8 @@ bool
 Cache::contains(std::uint64_t addr) const
 {
     std::uint64_t set = setIndex(addr);
+    if (!isLive(set))
+        return false;
     std::uint64_t tag = tagOf(addr);
     const Line *base = &lines_[set * assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
@@ -87,6 +90,8 @@ void
 Cache::invalidate(std::uint64_t addr)
 {
     std::uint64_t set = setIndex(addr);
+    if (!isLive(set))
+        return;
     std::uint64_t tag = tagOf(addr);
     Line *base = &lines_[set * assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
@@ -96,10 +101,29 @@ Cache::invalidate(std::uint64_t addr)
 }
 
 void
+Cache::zeroSet(std::uint64_t set)
+{
+    Line *base = &lines_[set * assoc_];
+    for (unsigned w = 0; w < assoc_; ++w)
+        base[w] = Line{};
+    live_[set >> 6] |= std::uint64_t{1} << (set & 63);
+}
+
+void
 Cache::flushAll()
 {
-    for (auto &line : lines_)
-        line.valid = false;
+    // Live sets stay live: their tags and LRU stamps survive a flush
+    // (only valid drops), and the checkpoint encodes them.
+    const std::uint64_t words = (numSets_ + 63) / 64;
+    for (std::uint64_t i = 0; i < words; ++i) {
+        for (std::uint64_t bits = live_[i]; bits != 0; bits &= bits - 1) {
+            const std::uint64_t set =
+                i * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            Line *base = &lines_[set * assoc_];
+            for (unsigned w = 0; w < assoc_; ++w)
+                base[w].valid = false;
+        }
+    }
 }
 
 MemHierarchy::MemHierarchy(const MemHierarchyParams &params)

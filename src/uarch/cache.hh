@@ -6,13 +6,21 @@
  * is timing-only). Each access returns the total latency to the first
  * level that hits, and allocates the line on the way back (write-
  * allocate, writeback is not modeled since only timing matters).
+ *
+ * The tag store is initialised lazily: lines are allocated
+ * uninitialised and a per-set live bit records which sets have been
+ * zeroed. A set is zeroed on its first access, and a set that is not
+ * live reads as empty. Construction and checkpointing therefore cost
+ * the sets a run touched, not the modelled capacity (a Table-3 LLC
+ * has 32768 sets; a short run touches a few hundred).
  */
 
 #ifndef XUI_UARCH_CACHE_HH
 #define XUI_UARCH_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace xui
 {
@@ -56,16 +64,24 @@ class Cache
     /**
      * Checkpoint archive visit of the mutable state (tags, LRU
      * stamps, counters). Geometry comes from the constructor, so the
-     * line count is a guard, not configuration.
+     * line count is a guard, not configuration. The payload is dense
+     * (every line, live or not); a set that is not live is a run of
+     * zero bytes, which zeroRun writes and skips in bulk. A set the
+     * Reader decodes becomes live.
      */
     template <class Ar>
     void visit(Ar &ar)
     {
-        ar.expect(std::uint64_t{lines_.size()});
-        for (Line &l : lines_) {
-            ar.b(l.valid);
-            ar.u64(l.tag);
-            ar.u64(l.lruStamp);
+        ar.expect(std::uint64_t{numSets_ * assoc_});
+        for (std::uint64_t set = 0; set < numSets_; ++set) {
+            if (ar.zeroRun(!isLive(set), assoc_ * kLineCkptBytes))
+                continue;
+            Line *base = touchSet(set);
+            for (unsigned w = 0; w < assoc_; ++w) {
+                ar.b(base[w].valid);
+                ar.u64(base[w].tag);
+                ar.u64(base[w].lruStamp);
+            }
         }
         ar.u64(stamp_);
         ar.u64(hits_);
@@ -73,15 +89,37 @@ class Cache
     }
 
   private:
+    /** No default member initialisers: the store is allocated
+     *  uninitialised and zeroed one set at a time (touchSet). */
     struct Line
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
+        bool valid;
+        std::uint64_t tag;
+        std::uint64_t lruStamp;
     };
+
+    /** Encoded size of one Line: valid byte, tag, LRU stamp. */
+    static constexpr std::size_t kLineCkptBytes = 1 + 8 + 8;
 
     std::uint64_t setIndex(std::uint64_t addr) const;
     std::uint64_t tagOf(std::uint64_t addr) const;
+
+    bool isLive(std::uint64_t set) const
+    {
+        return (live_[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /** The set's lines, zeroed and marked live on first touch. */
+    Line *touchSet(std::uint64_t set)
+    {
+        if (!isLive(set)) [[unlikely]]
+            zeroSet(set);
+        return &lines_[set * assoc_];
+    }
+
+    /** First touch, kept out of line so its loop does not bloat
+     *  access's hit path. */
+    [[gnu::noinline]] void zeroSet(std::uint64_t set);
 
     unsigned assoc_;
     unsigned lineShift_;
@@ -89,7 +127,8 @@ class Cache
     unsigned hitLatency_;
     unsigned missLatency_;
     Cache *next_;
-    std::vector<Line> lines_;
+    std::unique_ptr<Line[]> lines_;
+    std::unique_ptr<std::uint64_t[]> live_; ///< one bit per set
     std::uint64_t stamp_;
     std::uint64_t hits_;
     std::uint64_t misses_;

@@ -6,9 +6,10 @@
  * Site::CheckpointWrite action (damage is always detected or the
  * previous generation wins — never a silent divergence), the golden
  * corpus round-trip (interrupted + resumed == uninterrupted, bit for
- * bit), byte-identity pins on the payloads themselves, malformed
- * payloads (trailing bytes, inflated counts) and a seeded mutation
- * loop over the snapshot Reader, the ckpt_crash chaos driver (crash
+ * bit), byte-identity pins on the payloads themselves, the zero-run
+ * encoding of never-touched cache sets, malformed payloads (trailing
+ * bytes, inflated counts) and a seeded mutation loop over the
+ * snapshot Reader, the ckpt_crash chaos driver (crash
  * recovery, rollback-retry,
  * restore-from-file), the kernel.recovery.rollback_* counters, and
  * the watchdog's bounded pending-event snapshot under repeated trips
@@ -36,6 +37,7 @@
 #include "os/cost_model.hh"
 #include "os/kernel.hh"
 #include "stats/digest.hh"
+#include "uarch/cache.hh"
 #include "uarch/ooo_core.hh"
 #include "verify/roundtrip.hh"
 #include "verify/scenario_run.hh"
@@ -490,6 +492,180 @@ TEST(PayloadPin, DeclaredElementSizesMatchEncoding)
     EXPECT_EQ(encodedSize(IntrRecord{}), IntrRecord::kCkptBytes);
     EXPECT_EQ(encodedSize(SendRecord{}), SendRecord::kCkptBytes);
     EXPECT_EQ(encodedSize(FfSpan{}), FfSpan::kCkptBytes);
+}
+
+// ----- zero runs (never-touched cache sets) -------------------------
+
+TEST(ZeroRun, WriterAppendsZerosOnlyWhenBlank)
+{
+    ckpt::Writer w;
+    w.u8(7);
+    EXPECT_FALSE(w.zeroRun(false, 13));
+    EXPECT_EQ(w.size(), 1u);
+    EXPECT_TRUE(w.zeroRun(true, 13));
+    EXPECT_EQ(w.data(), std::string("\x07") + std::string(13, '\0'));
+}
+
+TEST(ZeroRun, ReaderSkipsOnlyBlankAllZeroRuns)
+{
+    std::string zeros(21, '\0');
+    ckpt::Reader r(zeros);
+    EXPECT_FALSE(r.zeroRun(false, 21)); // live target: caller decodes
+    EXPECT_EQ(r.remaining(), 21u);
+    EXPECT_TRUE(r.zeroRun(true, 21));
+    EXPECT_TRUE(r.ok() && r.atEnd());
+
+    // One set byte anywhere, in the word loop or the tail, is data.
+    for (std::size_t at : {0, 7, 8, 15, 16, 20}) {
+        std::string s = zeros;
+        s[at] = 1;
+        ckpt::Reader rs(s);
+        EXPECT_FALSE(rs.zeroRun(true, 21)) << at;
+        EXPECT_TRUE(rs.ok());
+        EXPECT_EQ(rs.remaining(), 21u) << at;
+    }
+}
+
+namespace
+{
+
+// A 1 KiB, 2-way cache of 64-byte lines: 8 sets, 17 bytes per line.
+constexpr std::uint64_t kSets = 8;
+constexpr unsigned kWays = 2;
+
+Cache
+tinyCache()
+{
+    return Cache(1024, kWays, 64, 1, nullptr, 50);
+}
+
+std::uint64_t
+addrOf(std::uint64_t set, std::uint64_t tagHigh)
+{
+    return (tagHigh * kSets + set) * 64;
+}
+
+/** Offset of a line in a Cache payload, past the line-count guard. */
+std::size_t
+lineAt(std::uint64_t set, unsigned way)
+{
+    return 8 + (set * kWays + way) * 17;
+}
+
+std::string
+payloadOf(Cache &c)
+{
+    ckpt::Writer w;
+    c.visit(w);
+    return w.take();
+}
+
+bool
+loadInto(Cache &c, const std::string &p)
+{
+    ckpt::Reader r(p);
+    c.visit(r);
+    return r.ok() && r.atEnd();
+}
+
+} // namespace
+
+/**
+ * A payload loaded over a cache that already has live sets: every set
+ * that is zero in the payload must come back empty, not keep the
+ * target's old lines, and the loaded cache must behave like a fresh
+ * one loaded from the same bytes.
+ */
+TEST(ZeroRun, LoadOverLiveSetsEmptiesThem)
+{
+    Cache src = tinyCache();
+    src.access(addrOf(0, 1));
+    src.access(addrOf(0, 2));
+    src.access(addrOf(1, 3));
+    const std::string p = payloadOf(src);
+    ASSERT_EQ(p.substr(lineAt(2, 0), 6 * kWays * 17),
+              std::string(6 * kWays * 17, '\0'));
+
+    Cache dst = tinyCache();
+    dst.access(addrOf(0, 9));  // live in both, other contents
+    dst.access(addrOf(2, 4));  // live only in the target
+    dst.access(addrOf(5, 6));
+    dst.access(addrOf(5, 7));
+    dst.flushAll();
+    dst.access(addrOf(7, 8));
+    ASSERT_TRUE(loadInto(dst, p));
+    EXPECT_TRUE(payloadOf(dst) == p);
+    for (std::uint64_t a : {addrOf(0, 9), addrOf(2, 4), addrOf(5, 6),
+                            addrOf(5, 7), addrOf(7, 8)})
+        EXPECT_FALSE(dst.contains(a)) << a;
+    for (std::uint64_t a : {addrOf(0, 1), addrOf(0, 2), addrOf(1, 3)})
+        EXPECT_TRUE(dst.contains(a)) << a;
+
+    Cache fresh = tinyCache();
+    ASSERT_TRUE(loadInto(fresh, p));
+    for (std::uint64_t a : {addrOf(2, 4), addrOf(0, 1), addrOf(0, 9),
+                            addrOf(5, 6), addrOf(0, 2), addrOf(7, 8)})
+        EXPECT_EQ(dst.access(a), fresh.access(a)) << a;
+    EXPECT_TRUE(payloadOf(dst) == payloadOf(fresh));
+}
+
+/**
+ * A flipped byte inside an otherwise-zero set region is data: the
+ * set is decoded like any other, so a valid byte of 2 is rejected and
+ * a flipped tag byte loads as a live set that saves back unchanged.
+ */
+TEST(ZeroRun, FlippedByteInZeroSetIsDecoded)
+{
+    Cache src = tinyCache();
+    src.access(addrOf(0, 1));
+    const std::string p = payloadOf(src);
+
+    std::string badValid = p;
+    badValid[lineAt(3, 0)] = 2;
+    Cache a = tinyCache();
+    EXPECT_FALSE(loadInto(a, badValid));
+
+    std::string tagFlip = p;
+    tagFlip[lineAt(3, 1) + 1] = 0x5a;
+    Cache b = tinyCache();
+    ASSERT_TRUE(loadInto(b, tagFlip));
+    EXPECT_TRUE(payloadOf(b) == tagFlip);
+
+    // A planted valid line in set 3: resident after the load.
+    std::string planted = p;
+    planted[lineAt(3, 0)] = 1;
+    const std::uint64_t tag = addrOf(3, 5) / 64;
+    for (unsigned i = 0; i < 8; ++i)
+        planted[lineAt(3, 0) + 1 + i] = static_cast<char>(tag >> (8 * i));
+    Cache c = tinyCache();
+    ASSERT_TRUE(loadInto(c, planted));
+    EXPECT_TRUE(c.contains(addrOf(3, 5)));
+    EXPECT_EQ(c.access(addrOf(3, 5)), 1u);
+}
+
+/** A payload cut inside a zero run fails, and stays failed. */
+TEST(ZeroRun, TruncationInsideZeroRunFailsSticky)
+{
+    Cache src = tinyCache();
+    src.access(addrOf(0, 1));
+    const std::string p = payloadOf(src);
+    for (std::size_t cut :
+         {lineAt(4, 0), lineAt(4, 1) + 7, lineAt(7, 1) + 16}) {
+        const std::string cutP = p.substr(0, cut);
+        for (bool targetLive : {false, true}) {
+            SCOPED_TRACE("cut " + std::to_string(cut) +
+                         (targetLive ? " live target" : " fresh target"));
+            Cache dst = tinyCache();
+            if (targetLive)
+                dst.access(addrOf(4, 2)), dst.access(addrOf(7, 3));
+            ckpt::Reader r(cutP);
+            dst.visit(r);
+            EXPECT_FALSE(r.ok());
+            std::uint8_t byte = 0;
+            EXPECT_FALSE(r.u8(byte));
+            EXPECT_FALSE(r.ok());
+        }
+    }
 }
 
 // ----- malformed payloads -------------------------------------------

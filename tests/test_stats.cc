@@ -2,18 +2,21 @@
  * @file
  * Unit and property tests for the stats module: RNG, distributions,
  * histogram percentiles (against a sorted-vector oracle), summary
- * statistics and the table/CSV writers.
+ * statistics, the table/CSV writers, and the FNV-1a digest's word
+ * and byte-range folds (against a byte-serial oracle).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "stats/csv.hh"
+#include "stats/digest.hh"
 #include "stats/distributions.hh"
 #include "stats/histogram.hh"
 #include "stats/rng.hh"
@@ -557,4 +560,96 @@ TEST(CsvWriter, ThrowsOnBadPath)
 {
     EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"),
                  std::runtime_error);
+}
+
+// ----------------------------------------------------------------------
+// Fnv1a
+// ----------------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a by definition: one xor and one multiply per byte. */
+std::uint64_t
+byteSerialFnv(std::uint64_t h, const std::uint8_t *p, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * Fnv1a::kPrime;
+    return h;
+}
+
+std::uint64_t
+byteSerialWord(std::uint64_t h, std::uint64_t v)
+{
+    std::uint8_t le[8];
+    for (unsigned i = 0; i < 8; ++i)
+        le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return byteSerialFnv(h, le, 8);
+}
+
+} // namespace
+
+TEST(Fnv1a, KnownVectors)
+{
+    EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a, WordFoldMatchesByteSerial)
+{
+    std::vector<std::uint64_t> words = {0, 1, 0xff, 1ull << 56, ~0ull};
+    Rng rng(0xf01d);
+    for (int i = 0; i < 10000; ++i) {
+        const std::uint64_t v = rng.next();
+        for (unsigned width = 0; width <= 8; ++width)
+            words.push_back(width == 8 ? v
+                                       : v & ((1ull << (8 * width)) - 1));
+    }
+    Fnv1a h;
+    std::uint64_t ref = Fnv1a::kOffsetBasis;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        const std::uint64_t before = h.bytes();
+        h.update(words[i]);
+        ref = byteSerialWord(ref, words[i]);
+        ASSERT_EQ(h.value(), ref) << "word " << i << " = " << words[i];
+        ASSERT_EQ(h.bytes(), before + 8);
+    }
+}
+
+TEST(Fnv1a, ByteRangeMatchesByteSerial)
+{
+    Rng rng(0xb17e);
+    std::vector<std::uint8_t> random(4096 + 16), zeros(4096 + 16, 0);
+    for (auto &b : random)
+        b = static_cast<std::uint8_t>(rng.next());
+    // Sparse: mostly zero with a few set bytes, like a snapshot.
+    std::vector<std::uint8_t> sparse(zeros);
+    for (int i = 0; i < 40; ++i)
+        sparse[rng.nextBounded(sparse.size())] =
+            static_cast<std::uint8_t>(1 + rng.nextBounded(255));
+    for (const auto *buf : {&random, &zeros, &sparse}) {
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+            for (std::size_t len :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                  std::size_t{8}, std::size_t{9}, std::size_t{63},
+                  std::size_t{4093}, std::size_t{4096}}) {
+                const std::uint8_t *p = buf->data() + offset;
+                const std::uint64_t ref =
+                    byteSerialFnv(Fnv1a::kOffsetBasis, p, len);
+                EXPECT_EQ(fnv1a(p, len), ref)
+                    << "offset " << offset << " len " << len;
+                // Mid-stream: a word fold first, so the range does
+                // not start from the offset basis.
+                Fnv1a h;
+                h.update(std::uint64_t{0x1234});
+                h.update(p, len);
+                EXPECT_EQ(h.value(),
+                          byteSerialFnv(
+                              byteSerialWord(Fnv1a::kOffsetBasis, 0x1234),
+                              p, len));
+                EXPECT_EQ(h.bytes(), 8 + len);
+            }
+        }
+    }
 }

@@ -1,12 +1,22 @@
 /**
  * @file
  * Tests for the cycle-tier building blocks: the set-associative
- * cache hierarchy, the gshare predictor, program building, the MSROM
- * microcode shapes, and the tracked-interrupt FSM.
+ * cache hierarchy (and a differential test of its lazily initialised
+ * tag store against a dense reference model), the gshare predictor,
+ * program building, the MSROM microcode shapes, and the
+ * tracked-interrupt FSM.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "ckpt/codec.hh"
+#include "stats/rng.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
 #include "uarch/interrupt_unit.hh"
@@ -111,6 +121,273 @@ TEST(Cache, RemoteAccessCostsLlcTransfer)
     // least an LLC round-trip.
     EXPECT_GE(remote, p.llcLatency);
     EXPECT_GT(remote, p.l1Latency + p.l2Latency);
+}
+
+// ----------------------------------------------------------------------
+// Cache vs a dense reference tag store
+// ----------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * The tag store Cache had before it became lazy: every line
+ * value-initialised at construction, flushAll walking every line.
+ * Same replacement policy and the same checkpoint encoding, so the two
+ * must agree on every latency, counter and payload byte.
+ */
+class DenseCache
+{
+  public:
+    DenseCache(std::uint64_t size, unsigned assoc, unsigned lineBytes,
+               unsigned hitLatency, DenseCache *next,
+               unsigned missLatency = 0)
+        : assoc_(assoc),
+          lineShift_(static_cast<unsigned>(std::countr_zero(lineBytes))),
+          numSets_(size / (std::uint64_t{assoc} * lineBytes)),
+          hitLatency_(hitLatency),
+          missLatency_(missLatency),
+          next_(next),
+          lines_(numSets_ * assoc)
+    {}
+
+    unsigned access(std::uint64_t addr)
+    {
+        Line *base = setOf(addr);
+        const std::uint64_t tag = addr >> lineShift_;
+        Line *victim = base;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            Line &l = base[w];
+            if (l.valid && l.tag == tag) {
+                l.lruStamp = ++stamp_;
+                ++hits_;
+                return hitLatency_;
+            }
+            if (!l.valid)
+                victim = &l;
+            else if (victim->valid && l.lruStamp < victim->lruStamp)
+                victim = &l;
+        }
+        ++misses_;
+        const unsigned below = next_ ? next_->access(addr) : missLatency_;
+        *victim = Line{true, tag, ++stamp_};
+        return hitLatency_ + below;
+    }
+
+    bool contains(std::uint64_t addr)
+    {
+        const Line *base = setOf(addr);
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (base[w].valid && base[w].tag == addr >> lineShift_)
+                return true;
+        return false;
+    }
+
+    void invalidate(std::uint64_t addr)
+    {
+        Line *base = setOf(addr);
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (base[w].valid && base[w].tag == addr >> lineShift_)
+                base[w].valid = false;
+    }
+
+    void flushAll()
+    {
+        for (Line &l : lines_)
+            l.valid = false;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+    /** Cache::visit's encoding, written out line by line. */
+    std::string save() const
+    {
+        ckpt::Writer w;
+        w.expect(std::uint64_t{lines_.size()});
+        for (const Line &l : lines_) {
+            w.b(l.valid);
+            w.u64(l.tag);
+            w.u64(l.lruStamp);
+        }
+        w.u64(stamp_);
+        w.u64(hits_);
+        w.u64(misses_);
+        return w.take();
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        std::uint64_t tag = 0;
+        std::uint64_t lruStamp = 0;
+    };
+
+    Line *setOf(std::uint64_t addr)
+    {
+        return &lines_[((addr >> lineShift_) & (numSets_ - 1)) * assoc_];
+    }
+
+    unsigned assoc_;
+    unsigned lineShift_;
+    std::uint64_t numSets_;
+    unsigned hitLatency_;
+    unsigned missLatency_;
+    DenseCache *next_;
+    std::vector<Line> lines_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+struct CacheShape
+{
+    const char *name;
+    std::uint64_t size;
+    unsigned assoc;
+    unsigned rounds;    ///< caches built in a row, one after another
+    unsigned snapshots; ///< payload comparisons per round
+};
+
+std::string
+payloadOf(Cache &c)
+{
+    ckpt::Writer w;
+    c.visit(w);
+    return w.take();
+}
+
+/**
+ * Addresses that collide: a few dozen hot sets, each with a pool of
+ * tags larger than the associativity (hits, LRU evictions,
+ * invalidations of resident lines), plus a random address now and
+ * then (cold sets).
+ */
+class ConflictAddrs
+{
+  public:
+    ConflictAddrs(Rng &rng, std::uint64_t numSets, unsigned assoc)
+        : rng_(rng), numSets_(numSets)
+    {
+        for (int i = 0; i < 48; ++i)
+            sets_.push_back(rng.nextBounded(numSets));
+        for (unsigned i = 0; i < 3 * assoc; ++i)
+            tags_.push_back(rng.nextBounded(1u << 20));
+    }
+
+    std::uint64_t next()
+    {
+        if (rng_.nextBounded(5) == 0)
+            return rng_.nextBounded(1ull << 40);
+        const std::uint64_t line =
+            tags_[rng_.nextBounded(tags_.size())] * numSets_ +
+            sets_[rng_.nextBounded(sets_.size())];
+        return (line << 6) | rng_.nextBounded(64);
+    }
+
+  private:
+    Rng &rng_;
+    std::uint64_t numSets_;
+    std::vector<std::uint64_t> sets_;
+    std::vector<std::uint64_t> tags_;
+};
+
+} // namespace
+
+/**
+ * Seeded access/contains/invalidate/flushAll sequences on L1-, L2-,
+ * LLC-shaped and tiny geometries: the lazy Cache and the dense model
+ * must return the same latencies and probes, count the same hits and
+ * misses, and write the same payload bytes. Caches of one shape are
+ * built one after another in this process, so each new tag store can
+ * sit in recycled heap storage that still holds the previous one's
+ * valid lines: a set that is not zeroed on first touch shows up as a
+ * stale hit or stale payload bytes. At every other comparison point
+ * the cache under test is replaced by a fresh one loaded from its
+ * payload, so the Reader's zero-run skip and set decoding are driven
+ * the same way.
+ */
+TEST(Cache, LazyTagStoreMatchesDenseModel)
+{
+    const CacheShape kShapes[] = {
+        {"direct-mapped", 256, 1, 8, 24},
+        {"tiny", 1024, 2, 8, 24},
+        {"l1", 32 << 10, 8, 6, 16},
+        {"l2", 2 << 20, 16, 4, 6},
+        {"llc", 32 << 20, 16, 3, 2},
+    };
+    constexpr unsigned kHit = 5, kMiss = 90, kOps = 20000;
+    for (const CacheShape &shape : kShapes) {
+        const std::uint64_t numSets = shape.size / (shape.assoc * 64);
+        for (unsigned round = 0; round < shape.rounds; ++round) {
+            SCOPED_TRACE(std::string(shape.name) + " round " +
+                         std::to_string(round));
+            Rng rng(0xcace + 131 * round + shape.size);
+            auto lazy = std::make_unique<Cache>(shape.size, shape.assoc,
+                                                64, kHit, nullptr, kMiss);
+            DenseCache dense(shape.size, shape.assoc, 64, kHit, nullptr,
+                             kMiss);
+            ConflictAddrs addrs(rng, numSets, shape.assoc);
+            std::vector<bool> compareAt(kOps, false);
+            for (unsigned i = 0; i < shape.snapshots; ++i)
+                compareAt[rng.nextBounded(kOps)] = true;
+            unsigned compared = 0;
+            for (unsigned op = 0; op < kOps; ++op) {
+                const std::uint64_t a = addrs.next();
+                const std::uint64_t kind = rng.nextBounded(1000);
+                if (kind < 800)
+                    ASSERT_EQ(lazy->access(a), dense.access(a)) << op;
+                else if (kind < 900)
+                    ASSERT_EQ(lazy->contains(a), dense.contains(a)) << op;
+                else if (kind < 997)
+                    lazy->invalidate(a), dense.invalidate(a);
+                else
+                    lazy->flushAll(), dense.flushAll();
+                if (!compareAt[op])
+                    continue;
+                const std::string bytes = payloadOf(*lazy);
+                ASSERT_TRUE(bytes == dense.save()) << "payload at " << op;
+                if (++compared % 2 == 0) {
+                    auto back = std::make_unique<Cache>(
+                        shape.size, shape.assoc, 64, kHit, nullptr, kMiss);
+                    ckpt::Reader r(bytes);
+                    back->visit(r);
+                    ASSERT_TRUE(r.ok() && r.atEnd());
+                    ASSERT_TRUE(payloadOf(*back) == bytes);
+                    lazy = std::move(back);
+                }
+            }
+            EXPECT_EQ(lazy->hits(), dense.hits());
+            EXPECT_EQ(lazy->misses(), dense.misses());
+            EXPECT_GT(lazy->hits(), 0u);
+            EXPECT_TRUE(payloadOf(*lazy) == dense.save());
+        }
+    }
+}
+
+/** The same agreement through a two-level chain (next-level path). */
+TEST(Cache, LazyChainMatchesDenseChain)
+{
+    for (unsigned round = 0; round < 6; ++round) {
+        Rng rng(0xc4a1 + round);
+        Cache l2(8 << 10, 4, 64, 12, nullptr, 150);
+        Cache l1(1 << 10, 2, 64, 3, &l2);
+        DenseCache d2(8 << 10, 4, 64, 12, nullptr, 150);
+        DenseCache d1(1 << 10, 2, 64, 3, &d2);
+        ConflictAddrs addrs(rng, 32, 4);
+        for (unsigned op = 0; op < 20000; ++op) {
+            const std::uint64_t a = addrs.next();
+            if (rng.nextBounded(10) == 0)
+                l2.invalidate(a), d2.invalidate(a);
+            ASSERT_EQ(l1.access(a), d1.access(a)) << op;
+        }
+        EXPECT_EQ(l1.hits(), d1.hits());
+        EXPECT_EQ(l2.hits(), d2.hits());
+        EXPECT_EQ(l2.misses(), d2.misses());
+        EXPECT_TRUE(payloadOf(l1) == d1.save());
+        EXPECT_TRUE(payloadOf(l2) == d2.save());
+    }
 }
 
 // ----------------------------------------------------------------------
