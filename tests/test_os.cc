@@ -8,11 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "des/simulation.hh"
+#include "fault/fault.hh"
+#include "obs/kernel_trace.hh"
+#include "obs/metrics.hh"
+#include "obs/trace_export.hh"
 #include "os/kernel.hh"
 #include "os/timer_core.hh"
+#include "stats/digest.hh"
 
 using namespace xui;
 
@@ -327,6 +334,222 @@ TEST_F(KernelFixture, InvalidIntervalRejected)
     EXPECT_EQ(kernel.setInterval(t, 0), -1);
     kernel.cancelInterval(-1);   // no-op
     kernel.cancelInterval(999);  // no-op
+}
+
+// ----------------------------------------------------------------------
+// Kernel delivery counters: metric names and counter-track samples
+// ----------------------------------------------------------------------
+
+namespace
+{
+
+std::string
+metricsJson(const MetricsRegistry &reg)
+{
+    std::ostringstream os;
+    reg.writeJson(os);
+    return os.str();
+}
+
+/** Counter-track samples whose track name starts with `prefix`. */
+std::size_t
+samplesOf(const std::string &trace, const std::string &prefix)
+{
+    const std::string key = "\"name\": \"" + prefix;
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(key); at != std::string::npos;
+         at = trace.find(key, at + 1))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(KernelStats, MetricNamesArePinned)
+{
+    Simulation sim(1);
+    CostModel costs;
+    Kernel kernel(sim, costs, 2);
+    MetricsRegistry reg;
+    kernel.attachMetrics(reg);
+    EXPECT_EQ(metricsJson(reg),
+        "{\n"
+        "  \"counters\": {\n"
+        "    \"kernel.context_switches\": 0,\n"
+        "    \"kernel.fault.forward_delayed\": 0,\n"
+        "    \"kernel.fault.forward_dropped\": 0,\n"
+        "    \"kernel.fault.ipi_delayed\": 0,\n"
+        "    \"kernel.fault.ipi_dropped\": 0,\n"
+        "    \"kernel.fault.ipi_duplicated\": 0,\n"
+        "    \"kernel.fault.ipi_reordered\": 0,\n"
+        "    \"kernel.fault.ipi_storm\": 0,\n"
+        "    \"kernel.fault.kbtimer_delayed\": 0,\n"
+        "    \"kernel.fault.kbtimer_misfire\": 0,\n"
+        "    \"kernel.fault.kbtimer_spurious\": 0,\n"
+        "    \"kernel.forward.fast\": 0,\n"
+        "    \"kernel.forward.slow\": 0,\n"
+        "    \"kernel.kbtimer.fired\": 0,\n"
+        "    \"kernel.moderation.coalesced\": 0,\n"
+        "    \"kernel.moderation.flush_delayed\": 0,\n"
+        "    \"kernel.moderation.flush_dropped\": 0,\n"
+        "    \"kernel.moderation.flushes\": 0,\n"
+        "    \"kernel.moderation.level_redeliver\": 0,\n"
+        "    \"kernel.moderation.missed\": 0,\n"
+        "    \"kernel.moderation.missed_then_delivered\": 0,\n"
+        "    \"kernel.moderation.suppressed\": 0,\n"
+        "    \"kernel.preempt.completions\": 0,\n"
+        "    \"kernel.preempt.deferred\": 0,\n"
+        "    \"kernel.preempt.double_save\": 0,\n"
+        "    \"kernel.preempt.preemptions\": 0,\n"
+        "    \"kernel.preempt.resume_replayed\": 0,\n"
+        "    \"kernel.preempt.resumes\": 0,\n"
+        "    \"kernel.preempt.save_dropped\": 0,\n"
+        "    \"kernel.recovery.forward_delayed\": 0,\n"
+        "    \"kernel.recovery.forward_parked\": 0,\n"
+        "    \"kernel.recovery.kbtimer_cancelled\": 0,\n"
+        "    \"kernel.recovery.kbtimer_late\": 0,\n"
+        "    \"kernel.recovery.parked_fallback\": 0,\n"
+        "    \"kernel.recovery.rescan_retry\": 0,\n"
+        "    \"kernel.recovery.rollback_events_replayed\": 0,\n"
+        "    \"kernel.recovery.rollback_retries\": 0,\n"
+        "    \"kernel.recovery.spurious_scans\": 0,\n"
+        "    \"kernel.recovery.upid_rescan\": 0,\n"
+        "    \"kernel.reposts\": 0,\n"
+        "    \"kernel.senduipi.deferred\": 0,\n"
+        "    \"kernel.senduipi.fast\": 0,\n"
+        "    \"kernel.senduipi.suppressed\": 0,\n"
+        "    \"kernel.signals_delivered\": 0\n"
+        "  },\n"
+        "  \"gauges\": {},\n"
+        "  \"latencies\": {}\n"
+        "}\n");
+}
+
+TEST(KernelStats, CounterTrackIsPinned)
+{
+    // Moderated low-priority posts, unmoderated high-priority posts
+    // that preempt them, and a fixed fault schedule that drops and
+    // reorders notifications, drops and delays moderation flushes,
+    // and doubles one frame save and drops another, so every traced
+    // family samples.
+    Simulation sim(7);
+    CostModel costs;
+    Kernel kernel(sim, costs, 2);
+    MetricsRegistry reg;
+    kernel.attachMetrics(reg);
+    TraceJsonWriter writer;
+    KernelCounterTrace track(writer);
+    kernel.attachCounterTrace(&track);
+
+    fault::Schedule sched;
+    ASSERT_TRUE(fault::Schedule::decode(
+        "notify_ipi:1:drop:0;notify_ipi:4:drop:0;"
+        "notify_ipi:6:reorder:0;notify_ipi:7:duplicate:0;"
+        "moderation_flush:1:drop:0;moderation_flush:3:delay:40;"
+        "preempt_save:1:duplicate:0;preempt_save:3:drop:0",
+        sched));
+    fault::Injector inj(sched);
+    kernel.setFaultInjector(&inj);
+
+    ThreadId recv = kernel.createThread();
+    std::uint64_t handled = 0;
+    kernel.registerHandler(recv, [&handled](unsigned) { ++handled; });
+    kernel.scheduleOn(recv, 0);
+    const unsigned kLow = 1, kHigh = 2;
+    int low = kernel.registerSender(recv, kLow);
+    int high = kernel.registerSender(recv, kHigh);
+    DeliveryPolicy lowPolicy;
+    lowPolicy.priority = 1;
+    DeliveryPolicy highPolicy;
+    highPolicy.priority = 3;
+    kernel.setDeliveryPolicy(recv, kLow, lowPolicy);
+    kernel.setDeliveryPolicy(recv, kHigh, highPolicy);
+    kernel.setHandlerCost(recv, kLow, 300);
+    kernel.setHandlerCost(recv, kHigh, 80);
+    ModerationParams mp;
+    mp.itr = 400;
+    mp.coalesceWindow = 150;
+    kernel.setModeration(recv, kLow, mp);
+
+    for (Cycles t = 0; t < 20000; t += 97)
+        sim.queue().scheduleAt(t, [&kernel, low] {
+            kernel.senduipi(low);
+        });
+    for (Cycles t = 50; t < 20000; t += 331)
+        sim.queue().scheduleAt(t, [&kernel, high] {
+            kernel.senduipi(high);
+        });
+    sim.runUntil(40000);
+    EXPECT_TRUE(kernel.engineIdle(recv));
+    EXPECT_GT(handled, 0u);
+    // One rollback: rollback_retries samples, the replayed-event
+    // total is counted but never traced.
+    kernel.noteRollback(17);
+
+    std::ostringstream os;
+    writer.write(os);
+    const std::string trace = os.str();
+    EXPECT_GT(samplesOf(trace, "kernel.moderation."), 0u);
+    EXPECT_GT(samplesOf(trace, "kernel.recovery."), 0u);
+    EXPECT_GT(samplesOf(trace, "kernel.preempt."), 0u);
+    EXPECT_EQ(samplesOf(trace, "kernel.senduipi."), 0u);
+    EXPECT_EQ(samplesOf(trace, "kernel.fault."), 0u);
+    EXPECT_EQ(samplesOf(trace,
+                        "kernel.recovery.rollback_events_replayed"),
+              0u);
+    EXPECT_EQ(fnv1a(trace.data(), trace.size()), 0x01c9808e0a86cca8ull)
+        << trace.size();
+    EXPECT_EQ(metricsJson(reg),
+        "{\n"
+        "  \"counters\": {\n"
+        "    \"kernel.context_switches\": 1,\n"
+        "    \"kernel.fault.forward_delayed\": 0,\n"
+        "    \"kernel.fault.forward_dropped\": 0,\n"
+        "    \"kernel.fault.ipi_delayed\": 0,\n"
+        "    \"kernel.fault.ipi_dropped\": 2,\n"
+        "    \"kernel.fault.ipi_duplicated\": 1,\n"
+        "    \"kernel.fault.ipi_reordered\": 1,\n"
+        "    \"kernel.fault.ipi_storm\": 0,\n"
+        "    \"kernel.fault.kbtimer_delayed\": 0,\n"
+        "    \"kernel.fault.kbtimer_misfire\": 0,\n"
+        "    \"kernel.fault.kbtimer_spurious\": 0,\n"
+        "    \"kernel.forward.fast\": 0,\n"
+        "    \"kernel.forward.slow\": 0,\n"
+        "    \"kernel.kbtimer.fired\": 0,\n"
+        "    \"kernel.moderation.coalesced\": 155,\n"
+        "    \"kernel.moderation.flush_delayed\": 1,\n"
+        "    \"kernel.moderation.flush_dropped\": 1,\n"
+        "    \"kernel.moderation.flushes\": 49,\n"
+        "    \"kernel.moderation.level_redeliver\": 0,\n"
+        "    \"kernel.moderation.missed\": 0,\n"
+        "    \"kernel.moderation.missed_then_delivered\": 0,\n"
+        "    \"kernel.moderation.suppressed\": 50,\n"
+        "    \"kernel.preempt.completions\": 109,\n"
+        "    \"kernel.preempt.deferred\": 98,\n"
+        "    \"kernel.preempt.double_save\": 1,\n"
+        "    \"kernel.preempt.preemptions\": 44,\n"
+        "    \"kernel.preempt.resume_replayed\": 1,\n"
+        "    \"kernel.preempt.resumes\": 43,\n"
+        "    \"kernel.preempt.save_dropped\": 1,\n"
+        "    \"kernel.recovery.forward_delayed\": 0,\n"
+        "    \"kernel.recovery.forward_parked\": 0,\n"
+        "    \"kernel.recovery.kbtimer_cancelled\": 0,\n"
+        "    \"kernel.recovery.kbtimer_late\": 0,\n"
+        "    \"kernel.recovery.parked_fallback\": 0,\n"
+        "    \"kernel.recovery.rescan_retry\": 0,\n"
+        "    \"kernel.recovery.rollback_events_replayed\": 17,\n"
+        "    \"kernel.recovery.rollback_retries\": 1,\n"
+        "    \"kernel.recovery.spurious_scans\": 2,\n"
+        "    \"kernel.recovery.upid_rescan\": 8,\n"
+        "    \"kernel.reposts\": 0,\n"
+        "    \"kernel.senduipi.deferred\": 0,\n"
+        "    \"kernel.senduipi.fast\": 5,\n"
+        "    \"kernel.senduipi.suppressed\": 55,\n"
+        "    \"kernel.signals_delivered\": 0\n"
+        "  },\n"
+        "  \"gauges\": {},\n"
+        "  \"latencies\": {}\n"
+        "}\n");
 }
 
 // ----------------------------------------------------------------------
