@@ -610,13 +610,6 @@ buildScenario(Cell &c)
     assert(false && "unknown scenario kind");
 }
 
-std::uint64_t
-counterValue(const MetricsRegistry &m, const char *name)
-{
-    const Counter *c = m.findCounter(name);
-    return c != nullptr ? c->value() : 0;
-}
-
 /** Ledger/counter harvest shared by runCell and runCellCkpt. */
 void
 harvestCell(Cell &cell, CellResult &res)
@@ -628,32 +621,24 @@ harvestCell(Cell &cell, CellResult &res)
     res.abandoned = cell.ledger.abandoned();
     res.spuriousScans = cell.ledger.spuriousScans();
     res.coalescedSatisfied = cell.ledger.coalescedSatisfied();
-    res.modCoalesced =
-        counterValue(cell.metrics, "kernel.moderation.coalesced");
-    res.modFlushes =
-        counterValue(cell.metrics, "kernel.moderation.flushes");
-    res.modFlushDropped = counterValue(
-        cell.metrics, "kernel.moderation.flush_dropped");
-    res.modFlushDelayed = counterValue(
-        cell.metrics, "kernel.moderation.flush_delayed");
+    const Kernel &k = cell.kernel;
+    res.modCoalesced = k.count(KernelStat::ModerationCoalesced);
+    res.modFlushes = k.count(KernelStat::ModerationFlushes);
+    res.modFlushDropped = k.count(KernelStat::ModerationFlushDropped);
+    res.modFlushDelayed = k.count(KernelStat::ModerationFlushDelayed);
     res.injected = cell.inj.injected();
     res.handlerRuns = cell.handlerRuns;
-    res.recoveredRescan =
-        counterValue(cell.metrics, "kernel.recovery.upid_rescan");
-    res.recoveredTimerLate =
-        counterValue(cell.metrics, "kernel.recovery.kbtimer_late");
-    res.recoveredFwdParked =
-        counterValue(cell.metrics, "kernel.recovery.forward_parked");
+    res.recoveredRescan = k.count(KernelStat::RecoveryUpidRescan);
+    res.recoveredTimerLate = k.count(KernelStat::RecoveryKbTimerLate);
+    res.recoveredFwdParked = k.count(KernelStat::RecoveryForwardParked);
     if (cell.sender) {
         res.senderRetries = cell.sender->stats().retries;
         res.senderFallbacks = cell.sender->stats().fallbacks;
     }
-    res.preemptions =
-        counterValue(cell.metrics, "kernel.preempt.preemptions");
-    res.preemptSaveDropped =
-        counterValue(cell.metrics, "kernel.preempt.save_dropped");
-    res.preemptResumeReplayed = counterValue(
-        cell.metrics, "kernel.preempt.resume_replayed");
+    res.preemptions = k.count(KernelStat::PreemptPreemptions);
+    res.preemptSaveDropped = k.count(KernelStat::PreemptSaveDropped);
+    res.preemptResumeReplayed =
+        k.count(KernelStat::PreemptResumeReplayed);
     res.passed = res.violations.empty();
 }
 

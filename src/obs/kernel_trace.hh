@@ -2,10 +2,12 @@
  * @file
  * Per-vector counter tracks for kernel delivery-path counters.
  *
- * KernelCounterTrace turns `kernel.moderation.*` / `kernel.recovery.*`
- * counter bumps into Perfetto counter-track samples on the DES tier
- * (pid 1): one track per counter name, one series per vector
- * ("v<N>", or "all" for events with no vector in scope). Each bump
+ * KernelCounterTrace turns the kernel's traced counter bumps (the
+ * kKernelStats rows in os/kernel.hh marked `traced`:
+ * `kernel.moderation.*`, `kernel.recovery.*`, `kernel.preempt.*`)
+ * into Perfetto counter-track samples on the DES tier (pid 1): one
+ * track per counter name, one series per vector ("v<N>", or "all"
+ * for events with no vector in scope). Each bump
  * emits the cumulative count at the current simulated time, so an
  * overload or chaos run shows *when* coalescing windows opened,
  * flushes fired, or recovery rescans kicked in — in the same

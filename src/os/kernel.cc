@@ -8,11 +8,13 @@
 namespace xui
 {
 
+static_assert(Kernel::kNoVector == KernelCounterTrace::kNoVector);
+
 void
-Kernel::ktrace(const char *name, unsigned vector, std::uint64_t n)
+Kernel::traceSample(KernelStat stat, unsigned vector, std::uint64_t n)
 {
-    if (ktrace_ != nullptr)
-        ktrace_->bump(name, vector, sim_.now(), n);
+    ktrace_->bump(kKernelStats[static_cast<std::size_t>(stat)].name,
+                  vector, sim_.now(), n);
 }
 
 namespace
@@ -112,9 +114,7 @@ Kernel::drainParked(ThreadId id)
             const DeliveryPolicy *p = policyFor(t, v);
             if (p != nullptr &&
                 p->behavior == DeliveryBehavior::NextOrMissed) {
-                bump(mModMissedThenDelivered_);
-                ktrace("kernel.moderation.missed_then_delivered",
-                       v);
+                note(KernelStat::ModerationMissedThenDelivered, v);
             }
             ++delivered;
         }
@@ -143,10 +143,7 @@ Kernel::scanUpid(ThreadId id)
                 if (p != nullptr &&
                     p->behavior ==
                         DeliveryBehavior::NextOrMissed) {
-                    bump(mModMissedThenDelivered_);
-                    ktrace(
-                        "kernel.moderation.missed_then_delivered",
-                        v);
+                    note(KernelStat::ModerationMissedThenDelivered, v);
                 }
             }
             ++delivered;
@@ -170,9 +167,7 @@ Kernel::notifyArrived(ThreadId id)
         t.upid.clearOutstanding();
         if (ledger_ != nullptr)
             ledger_->onSpuriousScan();
-        bump(mSpuriousScans_);
-        ktrace("kernel.recovery.spurious_scans",
-               KernelCounterTrace::kNoVector);
+        note(KernelStat::RecoverySpuriousScans);
     }
 }
 
@@ -186,24 +181,17 @@ Kernel::scheduleUpidRecovery(ThreadId id, unsigned attempt)
             return;  // fast path or resume-drain beat the rescan
         if (t.running) {
             unsigned n = scanUpid(id);
-            bump(mRecoveredRescan_, n);
-            if (n != 0)
-                ktrace("kernel.recovery.upid_rescan",
-                       KernelCounterTrace::kNoVector, n);
+            note(KernelStat::RecoveryUpidRescan, kNoVector, n);
             return;
         }
         // Receiver descheduled: retry with backoff; if retries run
         // out, the posts stay parked and the resume-drain slow path
         // (scheduleOn) remains the designed fallback.
         if (attempt + 1 < maxRecoveryAttempts_) {
-            bump(mRecoveryRetry_);
-            ktrace("kernel.recovery.rescan_retry",
-                   KernelCounterTrace::kNoVector);
+            note(KernelStat::RecoveryRescanRetry);
             scheduleUpidRecovery(id, attempt + 1);
         } else {
-            bump(mRecoveryParked_);
-            ktrace("kernel.recovery.parked_fallback",
-                   KernelCounterTrace::kNoVector);
+            note(KernelStat::RecoveryParkedFallback);
         }
     });
 }
@@ -247,9 +235,7 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
             }
             if (t.timerDuePosted) {
                 t.timerDuePosted = false;
-                bump(mRecoveredTimerLate_);
-                ktrace("kernel.recovery.kbtimer_late",
-                       t.timerVector);
+                note(KernelStat::RecoveryKbTimerLate, t.timerVector);
             }
         }
     } else {
@@ -262,7 +248,7 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
     // Deliver anything parked while the thread was out.
     unsigned reposts = drainParked(id);
     cost += reposts * costs_.uipiTrackedReceive;
-    bump(mReposts_, reposts);
+    note(KernelStat::Reposts, kNoVector, reposts);
 
     // A pending interval-timer signal fires on resume.
     if (t.pendingSignal) {
@@ -275,11 +261,11 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
                 ledger_->onDelivered(sigKey(id, t.pendingSigno));
         }
         ++signalsDelivered_;
-        bump(mSignals_);
+        note(KernelStat::SignalsDelivered);
         cost += costs_.signalReceive;
     }
 
-    bump(mCtxSwitches_);
+    note(KernelStat::ContextSwitches);
     return cost;
 }
 
@@ -361,8 +347,7 @@ Kernel::senduipi(int uitt_index)
             ledger_->onPosted(uipiKey(tid, uv));
             ledger_->onAbandonedOne(uipiKey(tid, uv));
         }
-        bump(mModMissed_);
-        ktrace("kernel.moderation.missed", uv);
+        note(KernelStat::ModerationMissed, uv);
         return DeliveryPath::Suppressed;
     }
 
@@ -377,12 +362,10 @@ Kernel::senduipi(int uitt_index)
         if (mit != t.moderators.end()) {
             switch (mit->second.onPost(sim_.now())) {
               case VectorModerator::Verdict::Coalesced:
-                bump(mModCoalesced_);
-                ktrace("kernel.moderation.coalesced", uv);
+                note(KernelStat::ModerationCoalesced, uv);
                 return DeliveryPath::Deferred;
               case VectorModerator::Verdict::OpenWindow: {
-                bump(mModSuppressed_);
-                ktrace("kernel.moderation.suppressed", uv);
+                note(KernelStat::ModerationSuppressed, uv);
                 Cycles delay = mit->second.flushAt() - sim_.now();
                 sim_.queue().scheduleAfter(
                     delay == 0 ? 1 : delay, [this, tid, uv] {
@@ -403,18 +386,17 @@ Kernel::senduipi(int uitt_index)
         // instead of waiting for the recovery backoff.
         if (policy != nullptr &&
             policy->trigger == TriggerMode::Level && t.running) {
-            bump(mModLevelRedeliver_);
-            ktrace("kernel.moderation.level_redeliver", uv);
+            note(KernelStat::ModerationLevelRedeliver, uv);
             scanUpid(tid);
             return DeliveryPath::Fast;
         }
-        bump(mUipiSuppressed_);
+        note(KernelStat::SenduipiSuppressed);
         return DeliveryPath::Suppressed;
     }
 
     if (!t.running) {
         // Race: SN not yet observed; kernel captures it for later.
-        bump(mUipiDeferred_);
+        note(KernelStat::SenduipiDeferred);
         return DeliveryPath::Deferred;
     }
 
@@ -427,13 +409,13 @@ Kernel::senduipi(int uitt_index)
             // IPI lost on the wire: the post stays in the PIR. The
             // recovery rescan (or the resume-drain slow path)
             // eventually delivers it.
-            bump(mFaultIpiDropped_);
+            note(KernelStat::FaultIpiDropped);
             if (recoveryEnabled_)
                 scheduleUpidRecovery(tid, 0);
             return DeliveryPath::Deferred;
           case fault::Action::Delay: {
             Cycles delta = d.magnitude == 0 ? 1 : d.magnitude;
-            bump(mFaultIpiDelayed_);
+            note(KernelStat::FaultIpiDelayed);
             sim_.queue().scheduleAfter(delta, [this, tid] {
                 notifyArrived(tid);
             });
@@ -442,7 +424,7 @@ Kernel::senduipi(int uitt_index)
           case fault::Action::Duplicate:
             // Deliver now *and* echo the IPI one cycle later; the
             // second scan finds an empty PIR (spurious).
-            bump(mFaultIpiDuplicated_);
+            note(KernelStat::FaultIpiDuplicated);
             sim_.queue().scheduleAfter(1, [this, tid] {
                 notifyArrived(tid);
             });
@@ -451,19 +433,17 @@ Kernel::senduipi(int uitt_index)
             // The IPI overtakes the PIR write: the scan runs before
             // the post is visible, finds nothing, and returns. The
             // rescan path recovers the stranded post.
-            bump(mFaultIpiReordered_);
+            note(KernelStat::FaultIpiReordered);
             t.upid.clearOutstanding();
             if (ledger_ != nullptr)
                 ledger_->onSpuriousScan();
-            bump(mSpuriousScans_);
-            ktrace("kernel.recovery.spurious_scans",
-                   KernelCounterTrace::kNoVector);
+            note(KernelStat::RecoverySpuriousScans);
             if (recoveryEnabled_)
                 scheduleUpidRecovery(tid, 0);
             return DeliveryPath::Deferred;
           case fault::Action::Storm: {
             unsigned copies = d.magnitude == 0 ? 1 : d.magnitude;
-            bump(mFaultIpiStorm_, copies);
+            note(KernelStat::FaultIpiStorm, kNoVector, copies);
             for (unsigned i = 0; i < copies; ++i) {
                 sim_.queue().scheduleAfter(1 + i, [this, tid] {
                     notifyArrived(tid);
@@ -480,7 +460,7 @@ Kernel::senduipi(int uitt_index)
 
     // Fast path: notification IPI hits the running thread.
     scanUpid(tid);
-    bump(mUipiFast_);
+    note(KernelStat::SenduipiFast);
     return DeliveryPath::Fast;
 }
 
@@ -537,16 +517,14 @@ Kernel::moderationFlush(ThreadId id, unsigned vector)
             // moderator must forget the window or every future post
             // would coalesce into a flush that never comes.
             mod.cancelFlush();
-            bump(mModFlushDropped_);
-            ktrace("kernel.moderation.flush_dropped", vector);
+            note(KernelStat::ModerationFlushDropped, vector);
             if (recoveryEnabled_)
                 scheduleUpidRecovery(id, 0);
             return;
         }
         if (d.action == fault::Action::Delay) {
             Cycles delta = d.magnitude == 0 ? 1 : d.magnitude;
-            bump(mModFlushDelayed_);
-            ktrace("kernel.moderation.flush_delayed", vector);
+            note(KernelStat::ModerationFlushDelayed, vector);
             sim_.queue().scheduleAfter(delta, [this, id, vector] {
                 moderationFlush(id, vector);
             });
@@ -555,8 +533,7 @@ Kernel::moderationFlush(ThreadId id, unsigned vector)
     }
 
     mod.onFlush(sim_.now());
-    bump(mModFlushes_);
-    ktrace("kernel.moderation.flushes", vector);
+    note(KernelStat::ModerationFlushes, vector);
     if (!t.running) {
         // Receiver descheduled between post and flush: the batch
         // stays parked; resume drain (or the rescan) delivers it.
@@ -570,8 +547,7 @@ Kernel::moderationFlush(ThreadId id, unsigned vector)
         // Resume drain beat the flush to the batch.
         if (ledger_ != nullptr)
             ledger_->onSpuriousScan();
-        bump(mSpuriousScans_);
-        ktrace("kernel.recovery.spurious_scans", vector);
+        note(KernelStat::RecoverySpuriousScans, vector);
     }
 }
 
@@ -664,8 +640,7 @@ Kernel::engineArrival(ThreadId id, unsigned vector)
         enginePreempt(id);
         return;
     }
-    bump(mPreemptDeferredArrivals_);
-    ktrace("kernel.preempt.deferred", vector);
+    note(KernelStat::PreemptDeferred, vector);
 }
 
 void
@@ -678,8 +653,7 @@ Kernel::enginePreempt(ThreadId id)
     // Bank the running frame's unfinished cycles.
     EngFrame &f = t.engFrames.back();
     f.remaining = t.engStateEnd > now ? t.engStateEnd - now : 0;
-    bump(mPreemptions_);
-    ktrace("kernel.preempt.preemptions", f.vector);
+    note(KernelStat::PreemptPreemptions, f.vector);
 
     Cycles save_len = costs_.preemptSave;
     if (fault_ != nullptr) {
@@ -693,8 +667,7 @@ Kernel::enginePreempt(ThreadId id)
             // the ledger's conservation check flags the loss.
             EngFrame lost = t.engFrames.back();
             t.engFrames.pop_back();
-            bump(mPreemptSaveDropped_);
-            ktrace("kernel.preempt.save_dropped", lost.vector);
+            note(KernelStat::PreemptSaveDropped, lost.vector);
             if (recoveryEnabled_) {
                 std::uint64_t seq = engSeq_++;
                 sim_.queue().scheduleAfter(
@@ -708,9 +681,7 @@ Kernel::enginePreempt(ThreadId id)
                         r.seq = seq;
                         r.alreadyStarted = true;
                         engineEnqueue(t2, r);
-                        bump(mPreemptResumeReplayed_);
-                        ktrace("kernel.preempt.resume_replayed",
-                               lost.vector);
+                        note(KernelStat::PreemptResumeReplayed, lost.vector);
                         if (t2.engState == EngState::Idle)
                             engineStartFrame(id);
                     });
@@ -719,8 +690,7 @@ Kernel::enginePreempt(ThreadId id)
             // The spill microcode runs twice (torn save retried):
             // the nested delivery pays a doubled save window.
             save_len = 2 * costs_.preemptSave;
-            bump(mPreemptDoubleSave_);
-            ktrace("kernel.preempt.double_save", f.vector);
+            note(KernelStat::PreemptDoubleSave, f.vector);
         }
     }
 
@@ -788,8 +758,7 @@ Kernel::engineAdvance(ThreadId id, std::uint64_t gen)
         t.engFrames.pop_back();
         if (ledger_ != nullptr && done.key != kNoLedgerKey)
             ledger_->onDelivered(done.key);
-        bump(mPreemptCompletions_);
-        ktrace("kernel.preempt.completions", done.vector);
+        note(KernelStat::PreemptCompletions, done.vector);
 
         // A strictly-higher-priority arrival beats the resumable
         // frame (no pointless restore + re-save); otherwise resume
@@ -803,9 +772,7 @@ Kernel::engineAdvance(ThreadId id, std::uint64_t gen)
             t.engState = EngState::Restoring;
             t.engStateEnd = sim_.now() + costs_.preemptRestore;
             scheduleEngineAdvance(id);
-            bump(mPreemptResumes_);
-            ktrace("kernel.preempt.resumes",
-                   t.engFrames.back().vector);
+            note(KernelStat::PreemptResumes, t.engFrames.back().vector);
         } else {
             t.engState = EngState::Idle;
         }
@@ -912,7 +879,7 @@ Kernel::pollKbTimer(CoreId core_id, Cycles now)
             // Phantom expiry: the handler runs although nothing was
             // armed. Out-of-band by design, so no ledger post — the
             // invariants only track real expiries.
-            bump(mFaultTimerSpurious_);
+            note(KernelStat::FaultKbTimerSpurious);
             ThreadId running = core.running;
             if (running != kNoThread) {
                 Thread &t = thread(running);
@@ -938,13 +905,13 @@ Kernel::pollKbTimer(CoreId core_id, Cycles now)
             // Misfire: the interrupt is swallowed, but the expiry
             // stays unacknowledged so the next poll — or the
             // restore-missed path on resume — redelivers it late.
-            bump(mFaultTimerDropped_);
+            note(KernelStat::FaultKbTimerMisfire);
             core.timerMisfired = true;
             return false;
         }
         if (d.action == fault::Action::Delay) {
             Cycles delta = d.magnitude == 0 ? 1 : d.magnitude;
-            bump(mFaultTimerDelayed_);
+            note(KernelStat::FaultKbTimerDelayed);
             core.timerMisfired = true;
             sim_.queue().scheduleAfter(delta, [this, core_id] {
                 delayedKbTimerFire(core_id);
@@ -965,9 +932,7 @@ Kernel::delayedKbTimerFire(CoreId core_id)
     // The in-flight fire may race a clear/re-arm or a context
     // switch; consumeExpiry only acknowledges a still-live expiry.
     if (!core.timer.consumeExpiry(sim_.now())) {
-        bump(mTimerFireCancelled_);
-        ktrace("kernel.recovery.kbtimer_cancelled",
-               core.timer.vector());
+        note(KernelStat::RecoveryKbTimerCancelled, core.timer.vector());
         if (core.timerDue)
             abandonTimerDue(core_id);
         return;
@@ -979,7 +944,7 @@ void
 Kernel::deliverKbTimerFired(CoreId core_id)
 {
     Core &core = cores_[core_id];
-    bump(mKbTimerFired_);
+    note(KernelStat::KbTimerFired);
     ThreadId running = core.running;
     if (running != kNoThread) {
         Thread &t = thread(running);
@@ -993,11 +958,8 @@ Kernel::deliverKbTimerFired(CoreId core_id)
                 ledger_->onDelivered(kbKey(running, v));
         }
     }
-    if (core.timerMisfired) {
-        bump(mRecoveredTimerLate_);
-        ktrace("kernel.recovery.kbtimer_late",
-               core.timer.vector());
-    }
+    if (core.timerMisfired)
+        note(KernelStat::RecoveryKbTimerLate, core.timer.vector());
     core.timerDue = false;
     core.timerMisfired = false;
 }
@@ -1055,15 +1017,14 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
                 // Fast-path delivery lost: degrade to slow-path
                 // semantics by parking in the DUPID; the resume
                 // drain delivers it.
-                bump(mFaultFwdDropped_);
+                note(KernelStat::FaultForwardDropped);
                 t.dupid.post(v);
-                bump(mRecoveredFwdParked_);
-                ktrace("kernel.recovery.forward_parked", v);
+                note(KernelStat::RecoveryForwardParked, v);
                 return DeliveryPath::Deferred;
             }
             if (d.action == fault::Action::Delay) {
                 Cycles delta = d.magnitude == 0 ? 1 : d.magnitude;
-                bump(mFaultFwdDelayed_);
+                note(KernelStat::FaultForwardDelayed);
                 sim_.queue().scheduleAfter(
                     delta, [this, core_id, v, running] {
                         delayedForwardDeliver(core_id, v, running);
@@ -1077,7 +1038,7 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
             if (ledger_ != nullptr)
                 ledger_->onDelivered(fwdKey(running, v));
         }
-        bump(mFwdFast_);
+        note(KernelStat::ForwardFast);
         return DeliveryPath::Fast;
       }
       case ForwardOutcome::SlowPath: {
@@ -1094,15 +1055,14 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
                     ledger_->onPosted(fwdKey(owner, v));
                     ledger_->onAbandonedOne(fwdKey(owner, v));
                 }
-                bump(mModMissed_);
-                ktrace("kernel.moderation.missed", v);
+                note(KernelStat::ModerationMissed, v);
                 return DeliveryPath::Suppressed;
             }
             if (ledger_ != nullptr)
                 ledger_->onPosted(fwdKey(owner, v));
             ot.dupid.post(v);
         }
-        bump(mFwdSlow_);
+        note(KernelStat::ForwardSlow);
         return DeliveryPath::Deferred;
       }
       case ForwardOutcome::NotForwarded:
@@ -1125,15 +1085,13 @@ Kernel::delayedForwardDeliver(CoreId core_id, unsigned vector,
             if (ledger_ != nullptr)
                 ledger_->onDelivered(fwdKey(posted_to, vector));
         }
-        bump(mRecoveredFwdDelayed_);
-        ktrace("kernel.recovery.forward_delayed", vector);
+        note(KernelStat::RecoveryForwardDelayed, vector);
         return;
     }
     // Receiver context-switched while the interrupt was in flight:
     // fall back to DUPID parking; the resume drain delivers it.
     thread(posted_to).dupid.post(vector);
-    bump(mRecoveredFwdParked_);
-    ktrace("kernel.recovery.forward_parked", vector);
+    note(KernelStat::RecoveryForwardParked, vector);
 }
 
 ThreadId
@@ -1172,7 +1130,7 @@ Kernel::setInterval(ThreadId id, Cycles interval, unsigned signo)
                         ledger_->onDelivered(sigKey(id, signo));
                 }
                 ++signalsDelivered_;
-                bump(mSignals_);
+                note(KernelStat::SignalsDelivered);
             } else {
                 // SIGALRM semantics: firings while descheduled
                 // collapse into one pending signal.
@@ -1201,91 +1159,16 @@ Kernel::cancelInterval(int timer_id)
 void
 Kernel::attachMetrics(MetricsRegistry &registry)
 {
-    mCtxSwitches_ = &registry.counter("kernel.context_switches");
-    mReposts_ = &registry.counter("kernel.reposts");
-    mSignals_ = &registry.counter("kernel.signals_delivered");
-    mUipiFast_ = &registry.counter("kernel.senduipi.fast");
-    mUipiDeferred_ = &registry.counter("kernel.senduipi.deferred");
-    mUipiSuppressed_ =
-        &registry.counter("kernel.senduipi.suppressed");
-    mFwdFast_ = &registry.counter("kernel.forward.fast");
-    mFwdSlow_ = &registry.counter("kernel.forward.slow");
-    mKbTimerFired_ = &registry.counter("kernel.kbtimer.fired");
-
-    mFaultIpiDropped_ = &registry.counter("kernel.fault.ipi_dropped");
-    mFaultIpiDelayed_ = &registry.counter("kernel.fault.ipi_delayed");
-    mFaultIpiDuplicated_ =
-        &registry.counter("kernel.fault.ipi_duplicated");
-    mFaultIpiReordered_ =
-        &registry.counter("kernel.fault.ipi_reordered");
-    mFaultIpiStorm_ = &registry.counter("kernel.fault.ipi_storm");
-    mFaultTimerDropped_ =
-        &registry.counter("kernel.fault.kbtimer_misfire");
-    mFaultTimerDelayed_ =
-        &registry.counter("kernel.fault.kbtimer_delayed");
-    mFaultTimerSpurious_ =
-        &registry.counter("kernel.fault.kbtimer_spurious");
-    mFaultFwdDropped_ =
-        &registry.counter("kernel.fault.forward_dropped");
-    mFaultFwdDelayed_ =
-        &registry.counter("kernel.fault.forward_delayed");
-
-    mRecoveredRescan_ =
-        &registry.counter("kernel.recovery.upid_rescan");
-    mRecoveryRetry_ =
-        &registry.counter("kernel.recovery.rescan_retry");
-    mRecoveryParked_ =
-        &registry.counter("kernel.recovery.parked_fallback");
-    mRecoveredTimerLate_ =
-        &registry.counter("kernel.recovery.kbtimer_late");
-    mTimerFireCancelled_ =
-        &registry.counter("kernel.recovery.kbtimer_cancelled");
-    mRecoveredFwdParked_ =
-        &registry.counter("kernel.recovery.forward_parked");
-    mRecoveredFwdDelayed_ =
-        &registry.counter("kernel.recovery.forward_delayed");
-    mSpuriousScans_ =
-        &registry.counter("kernel.recovery.spurious_scans");
-    mRollbackRetries_ =
-        &registry.counter("kernel.recovery.rollback_retries");
-    mRollbackEventsReplayed_ = &registry.counter(
-        "kernel.recovery.rollback_events_replayed");
-
-    mModCoalesced_ = &registry.counter("kernel.moderation.coalesced");
-    mModSuppressed_ =
-        &registry.counter("kernel.moderation.suppressed");
-    mModFlushes_ = &registry.counter("kernel.moderation.flushes");
-    mModFlushDropped_ =
-        &registry.counter("kernel.moderation.flush_dropped");
-    mModFlushDelayed_ =
-        &registry.counter("kernel.moderation.flush_delayed");
-    mModMissed_ = &registry.counter("kernel.moderation.missed");
-    mModMissedThenDelivered_ =
-        &registry.counter("kernel.moderation.missed_then_delivered");
-    mModLevelRedeliver_ =
-        &registry.counter("kernel.moderation.level_redeliver");
-
-    mPreemptions_ = &registry.counter("kernel.preempt.preemptions");
-    mPreemptDeferredArrivals_ =
-        &registry.counter("kernel.preempt.deferred");
-    mPreemptCompletions_ =
-        &registry.counter("kernel.preempt.completions");
-    mPreemptResumes_ = &registry.counter("kernel.preempt.resumes");
-    mPreemptSaveDropped_ =
-        &registry.counter("kernel.preempt.save_dropped");
-    mPreemptDoubleSave_ =
-        &registry.counter("kernel.preempt.double_save");
-    mPreemptResumeReplayed_ =
-        &registry.counter("kernel.preempt.resume_replayed");
+    for (std::size_t i = 0; i < kNumKernelStats; ++i)
+        stats_[i] = &registry.counter(kKernelStats[i].name);
 }
 
 void
 Kernel::noteRollback(std::uint64_t eventsReplayed)
 {
-    bump(mRollbackRetries_);
-    bump(mRollbackEventsReplayed_, eventsReplayed);
-    ktrace("kernel.recovery.rollback_retries",
-           KernelCounterTrace::kNoVector);
+    note(KernelStat::RecoveryRollbackRetries);
+    note(KernelStat::RecoveryRollbackEventsReplayed, kNoVector,
+         eventsReplayed);
 }
 
 unsigned

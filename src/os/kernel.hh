@@ -24,6 +24,8 @@
 #ifndef XUI_OS_KERNEL_HH
 #define XUI_OS_KERNEL_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -68,6 +70,103 @@ enum class DeliveryPath : std::uint8_t
     /** Sender-side suppressed (SN): posted, no IPI sent. */
     Suppressed,
 };
+
+/**
+ * The kernel's delivery counters, one per `kernel.*` metric. Rows of
+ * kKernelStats below name each one and say whether it also streams
+ * as a per-vector counter track (obs/kernel_trace.hh).
+ */
+enum class KernelStat : std::uint8_t
+{
+    ContextSwitches, Reposts, SignalsDelivered,
+    SenduipiFast, SenduipiDeferred, SenduipiSuppressed,
+    ForwardFast, ForwardSlow, KbTimerFired,
+    // kernel.fault.*: injections applied to kernel channels.
+    FaultIpiDropped, FaultIpiDelayed, FaultIpiDuplicated,
+    FaultIpiReordered, FaultIpiStorm,
+    FaultKbTimerMisfire, FaultKbTimerDelayed, FaultKbTimerSpurious,
+    FaultForwardDropped, FaultForwardDelayed,
+    // kernel.recovery.*: graceful-degradation outcomes.
+    RecoveryUpidRescan, RecoveryRescanRetry, RecoveryParkedFallback,
+    RecoveryKbTimerLate, RecoveryKbTimerCancelled,
+    RecoveryForwardParked, RecoveryForwardDelayed,
+    RecoverySpuriousScans,
+    RecoveryRollbackRetries, RecoveryRollbackEventsReplayed,
+    // kernel.moderation.*: delivery-policy and moderation outcomes.
+    ModerationCoalesced, ModerationSuppressed,
+    ModerationFlushes, ModerationFlushDropped, ModerationFlushDelayed,
+    ModerationMissed, ModerationMissedThenDelivered,
+    ModerationLevelRedeliver,
+    // kernel.preempt.*: occupancy-engine outcomes.
+    PreemptPreemptions, PreemptDeferred, PreemptCompletions,
+    PreemptResumes, PreemptSaveDropped, PreemptDoubleSave,
+    PreemptResumeReplayed,
+    kCount,
+};
+
+constexpr std::size_t kNumKernelStats =
+    static_cast<std::size_t>(KernelStat::kCount);
+
+/** One KernelStat: its metric name and whether it is traced. */
+struct KernelStatRow
+{
+    const char *name;
+    bool traced;
+};
+
+/**
+ * Indexed by KernelStat, in the same order; the KernelStats.* tests
+ * in test_os pin every name and value.
+ */
+inline constexpr KernelStatRow kKernelStats[] = {
+    {"kernel.context_switches", false},
+    {"kernel.reposts", false},
+    {"kernel.signals_delivered", false},
+    {"kernel.senduipi.fast", false},
+    {"kernel.senduipi.deferred", false},
+    {"kernel.senduipi.suppressed", false},
+    {"kernel.forward.fast", false},
+    {"kernel.forward.slow", false},
+    {"kernel.kbtimer.fired", false},
+    {"kernel.fault.ipi_dropped", false},
+    {"kernel.fault.ipi_delayed", false},
+    {"kernel.fault.ipi_duplicated", false},
+    {"kernel.fault.ipi_reordered", false},
+    {"kernel.fault.ipi_storm", false},
+    {"kernel.fault.kbtimer_misfire", false},
+    {"kernel.fault.kbtimer_delayed", false},
+    {"kernel.fault.kbtimer_spurious", false},
+    {"kernel.fault.forward_dropped", false},
+    {"kernel.fault.forward_delayed", false},
+    {"kernel.recovery.upid_rescan", true},
+    {"kernel.recovery.rescan_retry", true},
+    {"kernel.recovery.parked_fallback", true},
+    {"kernel.recovery.kbtimer_late", true},
+    {"kernel.recovery.kbtimer_cancelled", true},
+    {"kernel.recovery.forward_parked", true},
+    {"kernel.recovery.forward_delayed", true},
+    {"kernel.recovery.spurious_scans", true},
+    {"kernel.recovery.rollback_retries", true},
+    // A total of replayed events, not one delivery event.
+    {"kernel.recovery.rollback_events_replayed", false},
+    {"kernel.moderation.coalesced", true},
+    {"kernel.moderation.suppressed", true},
+    {"kernel.moderation.flushes", true},
+    {"kernel.moderation.flush_dropped", true},
+    {"kernel.moderation.flush_delayed", true},
+    {"kernel.moderation.missed", true},
+    {"kernel.moderation.missed_then_delivered", true},
+    {"kernel.moderation.level_redeliver", true},
+    {"kernel.preempt.preemptions", true},
+    {"kernel.preempt.deferred", true},
+    {"kernel.preempt.completions", true},
+    {"kernel.preempt.resumes", true},
+    {"kernel.preempt.save_dropped", true},
+    {"kernel.preempt.double_save", true},
+    {"kernel.preempt.resume_replayed", true},
+};
+static_assert(sizeof(kKernelStats) / sizeof(kKernelStats[0]) ==
+              kNumKernelStats);
 
 /** The kernel. */
 class Kernel
@@ -329,22 +428,33 @@ class Kernel
     void noteRollback(std::uint64_t eventsReplayed);
 
     /**
-     * Register the kernel's counters ("kernel.*") with a metrics
-     * registry. Without this call every counter pointer stays null
-     * and the hot paths pay nothing.
+     * Register the kernel's counters ("kernel.*", one per
+     * kKernelStats row) with a metrics registry. Without this call
+     * every counter pointer stays null and the hot paths pay
+     * nothing.
      */
     void attachMetrics(MetricsRegistry &registry);
 
+    /** A counter's value; 0 when no registry is attached. */
+    std::uint64_t count(KernelStat stat) const
+    {
+        const Counter *c = stats_[static_cast<std::size_t>(stat)];
+        return c != nullptr ? c->value() : 0;
+    }
+
     /**
-     * Mirror the moderation/recovery counters into per-vector
-     * Perfetto counter tracks (obs/kernel_trace.hh); nullptr
-     * detaches. Same null-guarded zero-cost convention as
-     * attachMetrics.
+     * Mirror the traced counters (kKernelStats rows with `traced`
+     * set) into per-vector Perfetto counter tracks
+     * (obs/kernel_trace.hh); nullptr detaches. Same null-guarded
+     * zero-cost convention as attachMetrics.
      */
     void attachCounterTrace(KernelCounterTrace *trace)
     {
         ktrace_ = trace;
     }
+
+    /** Vector argument of note() for events with no vector. */
+    static constexpr unsigned kNoVector = 256;
 
   private:
     /** Occupancy-engine automaton states (per thread). */
@@ -507,31 +617,29 @@ class Kernel
     std::vector<IntervalTimer> intervalTimers_;
     std::uint64_t signalsDelivered_ = 0;
 
-    /** Null until attachMetrics; bumping is one null check. */
-    static void bump(Counter *c, std::uint64_t n = 1)
+    /**
+     * Count `n` events on `stat`. A traced row with a counter trace
+     * attached also emits the new cumulative value on series
+     * `vector` (kNoVector: "all") — unless `n` is 0, which emits
+     * nothing. Untraced rows fold to one null-checked increment.
+     */
+    void note(KernelStat stat, unsigned vector = kNoVector,
+              std::uint64_t n = 1)
     {
-        if (c != nullptr)
-            c->inc(n);
+        const auto i = static_cast<std::size_t>(stat);
+        if (stats_[i] != nullptr)
+            stats_[i]->inc(n);
+        if (kKernelStats[i].traced && ktrace_ != nullptr && n != 0)
+            traceSample(stat, vector, n);
     }
 
-    /**
-     * Emit a per-vector counter-track sample (no-op when no trace
-     * is attached). `vector` may be KernelCounterTrace::kNoVector
-     * for events with no vector in scope.
-     */
-    void ktrace(const char *name, unsigned vector,
-                std::uint64_t n = 1);
+    /** The counter-track half of note(). */
+    void traceSample(KernelStat stat, unsigned vector,
+                     std::uint64_t n);
 
+    /** Null until attachMetrics. */
+    std::array<Counter *, kNumKernelStats> stats_{};
     KernelCounterTrace *ktrace_ = nullptr;
-    Counter *mCtxSwitches_ = nullptr;
-    Counter *mReposts_ = nullptr;
-    Counter *mSignals_ = nullptr;
-    Counter *mUipiFast_ = nullptr;
-    Counter *mUipiDeferred_ = nullptr;
-    Counter *mUipiSuppressed_ = nullptr;
-    Counter *mFwdFast_ = nullptr;
-    Counter *mFwdSlow_ = nullptr;
-    Counter *mKbTimerFired_ = nullptr;
 
     // Fault fabric (null = perfect delivery, zero-cost).
     fault::Injector *fault_ = nullptr;
@@ -539,49 +647,6 @@ class Kernel
     bool recoveryEnabled_ = true;
     Cycles recoveryBackoff_ = 256;
     unsigned maxRecoveryAttempts_ = 6;
-
-    // kernel.fault.*: injections applied to kernel channels.
-    Counter *mFaultIpiDropped_ = nullptr;
-    Counter *mFaultIpiDelayed_ = nullptr;
-    Counter *mFaultIpiDuplicated_ = nullptr;
-    Counter *mFaultIpiReordered_ = nullptr;
-    Counter *mFaultIpiStorm_ = nullptr;
-    Counter *mFaultTimerDropped_ = nullptr;
-    Counter *mFaultTimerDelayed_ = nullptr;
-    Counter *mFaultTimerSpurious_ = nullptr;
-    Counter *mFaultFwdDropped_ = nullptr;
-    Counter *mFaultFwdDelayed_ = nullptr;
-
-    // kernel.recovery.*: graceful-degradation outcomes.
-    Counter *mRecoveredRescan_ = nullptr;
-    Counter *mRecoveryRetry_ = nullptr;
-    Counter *mRecoveryParked_ = nullptr;
-    Counter *mRecoveredTimerLate_ = nullptr;
-    Counter *mTimerFireCancelled_ = nullptr;
-    Counter *mRecoveredFwdParked_ = nullptr;
-    Counter *mRecoveredFwdDelayed_ = nullptr;
-    Counter *mSpuriousScans_ = nullptr;
-    Counter *mRollbackRetries_ = nullptr;
-    Counter *mRollbackEventsReplayed_ = nullptr;
-
-    // kernel.moderation.*: delivery-policy and moderation outcomes.
-    Counter *mModCoalesced_ = nullptr;
-    Counter *mModSuppressed_ = nullptr;
-    Counter *mModFlushes_ = nullptr;
-    Counter *mModFlushDropped_ = nullptr;
-    Counter *mModFlushDelayed_ = nullptr;
-    Counter *mModMissed_ = nullptr;
-    Counter *mModMissedThenDelivered_ = nullptr;
-    Counter *mModLevelRedeliver_ = nullptr;
-
-    // kernel.preempt.*: occupancy-engine outcomes.
-    Counter *mPreemptions_ = nullptr;
-    Counter *mPreemptDeferredArrivals_ = nullptr;
-    Counter *mPreemptCompletions_ = nullptr;
-    Counter *mPreemptResumes_ = nullptr;
-    Counter *mPreemptSaveDropped_ = nullptr;
-    Counter *mPreemptDoubleSave_ = nullptr;
-    Counter *mPreemptResumeReplayed_ = nullptr;
 
     /** Global arrival sequence for deferred FIFO tie-breaks. */
     std::uint64_t engSeq_ = 0;

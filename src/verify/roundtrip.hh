@@ -29,10 +29,7 @@ namespace xui
 /** Seed count of the golden corpus (rows = seeds x 3 strategies). */
 constexpr unsigned kGoldenCorpusSeeds = 32;
 
-/**
- * The fixed recipe the golden-corpus rows were captured with — kept
- * in lockstep with corpusConfig() in tests/test_determinism.cc.
- */
+/** The fixed recipe the golden-corpus rows were captured with. */
 ScenarioConfig goldenCorpusConfig(std::uint64_t seed,
                                   DeliveryStrategy strategy);
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "intr/kb_timer.hh"
-#include "uarch/uarch_system.hh"
 #include "verify/digest_tracer.hh"
+#include "verify/scenario_run.hh"
 
 namespace xui
 {
@@ -136,46 +135,20 @@ runScenario(const ScenarioConfig &cfg, TraceLog *capture,
             Tracer *extraTracer, IntrLifecycleObserver *observer,
             const std::function<void(UarchSystem &)> &preRun)
 {
-    Program prog = makeFuzzProgram(cfg.programSeed, cfg.program);
-
-    CoreParams params;
-    params.strategy = cfg.strategy;
-    params.safepointMode = cfg.safepointMode;
-    params.tickSkip = cfg.tickSkip;
-    params.fastForward = cfg.fastForward;
-    params.detailWindow = cfg.detailWindow;
-    params.ffWarmup = cfg.ffWarmup;
-
-    UarchSystem sys(cfg.systemSeed);
-
-    DigestTracer digest;
-    std::vector<std::uint32_t> commitPcs;
-    digest.collectCommitPcs(&commitPcs);
-
-    TeeTracer tee;
-    tee.attach(&digest);
+    TeeTracer extra;
     TraceLog unused;
     LogTracer logger(capture != nullptr ? *capture : unused);
     if (capture != nullptr) {
         capture->clear();
-        tee.attach(&logger);
+        extra.attach(&logger);
     }
-    tee.attach(extraTracer);
-    sys.setTracer(&tee);
-    sys.setIntrObserver(observer);
+    extra.attach(extraTracer);
 
-    OooCore &core = sys.addCore(params, &prog);
-    core.kbTimer().configure(true, 0x21);
-    core.kbTimer().setTimer(0, cfg.timerPeriod,
-                            KbTimerMode::Periodic);
-
+    ScenarioRun run(cfg, observer, &extra);
     if (preRun)
-        preRun(sys);
-
-    core.runUntilCommitted(cfg.targetInsts, cfg.maxCycles);
-    core.runCycles(cfg.extraCycles);
-
-    return extractScenarioResult(cfg, prog, core, digest, commitPcs);
+        preRun(run.system());
+    run.runToEnd();
+    return run.finish();
 }
 
 DeterminismReport

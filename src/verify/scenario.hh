@@ -124,9 +124,7 @@ class DigestTracer;
 /**
  * Build a ScenarioResult from a finished run's instrumentation —
  * the digest tracer, the collected commit-PC stream, and the core's
- * stats. Shared by runScenario() and the resumable ScenarioRun
- * (scenario_run.hh) so both produce identical results for identical
- * runs.
+ * stats (ScenarioRun::finish(), scenario_run.hh).
  */
 ScenarioResult
 extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
@@ -134,7 +132,7 @@ extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
                       const std::vector<std::uint32_t> &commitPcs);
 
 /**
- * Run one scenario.
+ * Run one scenario: a ScenarioRun (scenario_run.hh) run to its end.
  * @param capture when non-null, also records the full binary trace.
  * @param extraTracer when non-null, an additional tee'd trace sink.
  * @param observer when non-null, receives interrupt-lifecycle

@@ -10,14 +10,12 @@ namespace xui
 {
 
 ScenarioRun::ScenarioRun(const ScenarioConfig &cfg,
-                         IntrLifecycleObserver *observer)
+                         IntrLifecycleObserver *observer,
+                         Tracer *extraTracer)
     : cfg_(cfg),
       prog_(makeFuzzProgram(cfg.programSeed, cfg.program)),
       sys_(cfg.systemSeed)
 {
-    // Construction mirrors runScenario() exactly — same attach
-    // order, same timer programming — so an unchunked ScenarioRun
-    // is bit-identical to the monolithic runner.
     CoreParams params;
     params.strategy = cfg.strategy;
     params.safepointMode = cfg.safepointMode;
@@ -28,6 +26,7 @@ ScenarioRun::ScenarioRun(const ScenarioConfig &cfg,
 
     digest_.collectCommitPcs(&commitPcs_);
     tee_.attach(&digest_);
+    tee_.attach(extraTracer);
     sys_.setTracer(&tee_);
     sys_.setIntrObserver(observer);
 

@@ -2,9 +2,10 @@
  * @file
  * Resumable scenario execution for checkpoint/restore verification.
  *
- * ScenarioRun is runScenario() (scenario.hh) split into hold-able
- * pieces: construct, advance in bounded chunks, checkpoint between
- * chunks, and extract the identical ScenarioResult at the end. The
+ * ScenarioRun is one scenario split into hold-able pieces:
+ * construct, advance in bounded chunks, checkpoint between chunks,
+ * and extract the ScenarioResult at the end (runScenario() in
+ * scenario.hh is a ScenarioRun run to its end in one call). The
  * load-bearing property is *chunk-invariance*: the core's run loops
  * are memoryless per tick (runUntilCommitted takes an absolute
  * commit target and a remaining budget; runCycles an absolute end),
@@ -39,8 +40,15 @@ namespace xui
 class ScenarioRun
 {
   public:
+    /**
+     * @param observer when non-null, receives interrupt-lifecycle
+     *        stage callbacks.
+     * @param extraTracer when non-null, a trace sink tee'd after the
+     *        digest tracer.
+     */
     explicit ScenarioRun(const ScenarioConfig &cfg,
-                         IntrLifecycleObserver *observer = nullptr);
+                         IntrLifecycleObserver *observer = nullptr,
+                         Tracer *extraTracer = nullptr);
 
     /**
      * Advance up to `chunkCycles` simulated cycles.
@@ -59,6 +67,7 @@ class ScenarioRun
     }
 
     OooCore &core() { return *core_; }
+    UarchSystem &system() { return sys_; }
     const DigestTracer &digest() const { return digest_; }
 
     /** Checkpoint the run at the current inter-chunk boundary. */
@@ -71,10 +80,7 @@ class ScenarioRun
      */
     bool loadState(ckpt::Reader &r);
 
-    /**
-     * Extract the ScenarioResult — identical to what runScenario()
-     * returns for the same config. Call once, after done().
-     */
+    /** Extract the ScenarioResult. Call once, after done(). */
     ScenarioResult finish() const;
 
   private:

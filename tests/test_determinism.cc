@@ -191,28 +191,11 @@ TEST(SimulationDeterminism, MakeRngStreamsReproducible)
 #include "uarch/program.hh"
 #include "uarch/uarch_system.hh"
 #include "verify/digest_tracer.hh"
+#include "verify/roundtrip.hh"
 #include "verify/scenario.hh"
 
 namespace
 {
-
-/** The fixed recipe every corpus row was captured with. */
-ScenarioConfig
-corpusConfig(std::uint64_t seed, DeliveryStrategy strategy)
-{
-    ScenarioConfig cfg;
-    cfg.programSeed = seed;
-    cfg.systemSeed = seed * 1000003 + 17;
-    cfg.strategy = strategy;
-    cfg.program.withSafepoints = (seed % 3) == 0;
-    cfg.program.deterministicControl = (seed % 2) == 0;
-    cfg.safepointMode = cfg.program.withSafepoints &&
-                        strategy == DeliveryStrategy::Tracked;
-    cfg.timerPeriod = 600;
-    cfg.targetInsts = 4000;
-    cfg.extraCycles = 4000;
-    return cfg;
-}
 
 struct CorpusGolden
 {
@@ -350,7 +333,7 @@ TEST(GoldenCorpus, DigestsPinnedAcrossSeedsAndModes)
     std::vector<ScenarioResult> results = exec::sweep(
         n, 4, [](std::size_t i) {
             const CorpusGolden &g = kCorpusGoldens[i];
-            return runScenario(corpusConfig(g.seed, g.strategy));
+            return runScenario(goldenCorpusConfig(g.seed, g.strategy));
         });
     for (std::size_t i = 0; i < n; ++i) {
         const CorpusGolden &g = kCorpusGoldens[i];
@@ -385,7 +368,7 @@ TEST(GoldenCorpus, ProfilingIsDigestNeutral)
             TraceJsonWriter trace;
             PipelinePressureProfiler prof(pc, &reg, &trace);
             return runScenario(
-                corpusConfig(g.seed, g.strategy), nullptr, nullptr,
+                goldenCorpusConfig(g.seed, g.strategy), nullptr, nullptr,
                 &prof, [&prof](UarchSystem &sys) {
                     prof.attachCore(sys.core(0));
                 });
@@ -411,7 +394,7 @@ TEST(GoldenCorpus, ProfilingIsDigestNeutral)
     TraceJsonWriter trace;
     PipelinePressureProfiler prof(pc, &reg, &trace);
     runScenario(
-        corpusConfig(1, DeliveryStrategy::Tracked), nullptr,
+        goldenCorpusConfig(1, DeliveryStrategy::Tracked), nullptr,
         nullptr, &prof,
         [&prof](UarchSystem &sys) { prof.attachCore(sys.core(0)); });
     EXPECT_GT(prof.samplesEmitted(), 0u);
@@ -435,7 +418,7 @@ TEST(GoldenCorpus, PriorityOffIsDigestNeutral)
         n, 4, [](std::size_t i) {
             const CorpusGolden &g = kCorpusGoldens[i];
             return runScenario(
-                corpusConfig(g.seed, g.strategy), nullptr, nullptr,
+                goldenCorpusConfig(g.seed, g.strategy), nullptr, nullptr,
                 nullptr, [](UarchSystem &sys) {
                     InterruptUnit &u = sys.core(0).intrUnit();
                     for (unsigned v = 0; v < 256; ++v)
@@ -468,7 +451,7 @@ TEST(GoldenCorpus, ParallelSweepBitIdenticalToSerial)
             slice.push_back(i);
     auto runRow = [&](std::size_t k) {
         const CorpusGolden &g = kCorpusGoldens[slice[k]];
-        return runScenario(corpusConfig(g.seed, g.strategy));
+        return runScenario(goldenCorpusConfig(g.seed, g.strategy));
     };
     std::vector<ScenarioResult> serial =
         exec::sweep(slice.size(), 1, runRow);
@@ -499,7 +482,7 @@ TEST(GoldenCorpus, TickSkipOffMatchesGoldens)
     for (const CorpusGolden &g : kCorpusGoldens) {
         if (g.seed > 4)
             continue;
-        ScenarioConfig cfg = corpusConfig(g.seed, g.strategy);
+        ScenarioConfig cfg = goldenCorpusConfig(g.seed, g.strategy);
         cfg.tickSkip = false;
         ScenarioResult r = runScenario(cfg);
         EXPECT_EQ(r.fullDigest, g.fullDigest)

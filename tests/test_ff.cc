@@ -30,6 +30,7 @@
 #include "des/simulation.hh"
 #include "uarch/cosim.hh"
 #include "uarch/uarch_system.hh"
+#include "verify/roundtrip.hh"
 #include "verify/scenario.hh"
 #include "verify/statcheck.hh"
 #include "workloads/kernels.hh"
@@ -39,24 +40,6 @@ namespace xui
 namespace
 {
 
-/** Same recipe as the golden corpus in test_determinism.cc. */
-ScenarioConfig
-corpusConfig(std::uint64_t seed, DeliveryStrategy strategy)
-{
-    ScenarioConfig cfg;
-    cfg.programSeed = seed;
-    cfg.systemSeed = seed * 1000003 + 17;
-    cfg.strategy = strategy;
-    cfg.program.withSafepoints = (seed % 3) == 0;
-    cfg.program.deterministicControl = (seed % 2) == 0;
-    cfg.safepointMode = cfg.program.withSafepoints &&
-                        strategy == DeliveryStrategy::Tracked;
-    cfg.timerPeriod = 600;
-    cfg.targetInsts = 4000;
-    cfg.extraCycles = 4000;
-    return cfg;
-}
-
 constexpr DeliveryStrategy kStrategies[] = {
     DeliveryStrategy::Flush,
     DeliveryStrategy::Drain,
@@ -65,7 +48,7 @@ constexpr DeliveryStrategy kStrategies[] = {
 
 TEST(FastForward, EngagesAndAccountsCycles)
 {
-    ScenarioConfig cfg = corpusConfig(2, DeliveryStrategy::Tracked);
+    ScenarioConfig cfg = goldenCorpusConfig(2, DeliveryStrategy::Tracked);
     cfg.timerPeriod = 4000;  // room for FF between handler runs
     cfg.fastForward = true;
     ScenarioResult r = runScenario(cfg);
@@ -134,7 +117,7 @@ TEST(FastForward, AdversarialWindowsPreserveArchStream)
     std::uint64_t tracked_reinjections = 0;
     for (std::uint64_t seed = 0; seed < 32; seed += 2) {
         for (DeliveryStrategy strategy : kStrategies) {
-            ScenarioConfig base = corpusConfig(seed, strategy);
+            ScenarioConfig base = goldenCorpusConfig(seed, strategy);
             ScenarioResult detail = runScenario(base);
             ASSERT_TRUE(detail.ok())
                 << "seed " << seed << ": "
@@ -246,7 +229,7 @@ TEST(FastForward, SampledLatenciesWithinTolerance)
     // schedule, so delivery counts and latency distributions are
     // directly comparable. Fixed-instruction runs are not — the IPC
     // model's error changes how many timer periods fit.
-    ScenarioConfig cfg = corpusConfig(4, DeliveryStrategy::Tracked);
+    ScenarioConfig cfg = goldenCorpusConfig(4, DeliveryStrategy::Tracked);
     cfg.timerPeriod = 2000;
     cfg.targetInsts = 1;
     cfg.extraCycles = 100000;
