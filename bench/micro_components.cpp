@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the substrate components:
  * LPM lookup, skiplist operations, histogram recording, event-queue
  * throughput, cache-model construction and access, branch-predictor
- * updates, the 256-bit vector bitmap and the pipeline-event digest.
+ * updates, the 256-bit vector bitmap, the pipeline-event digest,
+ * the bounded random draw and the functional fast-forward loop.
  * These measure the *simulator's* own
  * performance, guarding against regressions that would make the
  * figure benches impractically slow.
@@ -20,7 +21,9 @@
 #include "stats/rng.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
+#include "uarch/uarch_system.hh"
 #include "verify/digest_tracer.hh"
+#include "workloads/kernels.hh"
 
 using namespace xui;
 
@@ -162,6 +165,47 @@ BM_RngNext(benchmark::State &state)
         benchmark::DoNotOptimize(rng.next());
 }
 BENCHMARK(BM_RngNext);
+
+/** Lemire's bounded draw: a power of two (genAddress's common case)
+ *  and a small odd bound. */
+static void
+BM_RngNextBounded(benchmark::State &state)
+{
+    Rng rng(8);
+    const auto bound = static_cast<std::uint64_t>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.nextBounded(bound));
+}
+BENCHMARK(BM_RngNextBounded)->Arg(64)->Arg(3);
+
+/**
+ * The functional fast-forward loop alone. With no timer and no
+ * inbox the core enters fast-forward once and never leaves, so each
+ * runCycles() is one bulk functional run. Items are instructions:
+ * the time per item is the FF cost of one instruction, cache
+ * warming included.
+ */
+static void
+BM_FfRun(benchmark::State &state, Program (*make)(const KernelOptions &))
+{
+    const Program prog = make(KernelOptions{});
+    CoreParams params;
+    params.fastForward = true;
+    UarchSystem sys(9);
+    OooCore &core = sys.addCore(params, &prog);
+    core.runCycles(10000);
+    if (!core.fastForwarding()) {
+        state.SkipWithError("the core did not enter fast-forward");
+        return;
+    }
+    const std::uint64_t insts = core.stats().ffInsts;
+    for (auto _ : state)
+        core.runCycles(1000);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(core.stats().ffInsts - insts));
+}
+BENCHMARK_CAPTURE(BM_FfRun, fib, &makeFib);
+BENCHMARK_CAPTURE(BM_FfRun, base64, &makeBase64);
 
 /** One pipeline event folded into the full and commit digests. */
 static void

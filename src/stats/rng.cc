@@ -15,12 +15,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -30,43 +24,11 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
 double
 Rng::nextDouble()
 {
     // 53 high bits -> uniform in [0, 1).
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Lemire's multiply-shift with rejection to remove modulo bias.
-    std::uint64_t threshold = (-bound) % bound;
-    while (true) {
-        std::uint64_t r = next();
-        unsigned __int128 m =
-            static_cast<unsigned __int128>(r) * bound;
-        if (static_cast<std::uint64_t>(m) >= threshold)
-            return static_cast<std::uint64_t>(m >> 64);
-    }
 }
 
 std::int64_t

@@ -13,6 +13,7 @@
 #ifndef XUI_STATS_RNG_HH
 #define XUI_STATS_RNG_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace xui
@@ -35,7 +36,21 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Return the next 64-bit pseudo-random value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** std URBG interface. */
     result_type operator()() { return next(); }
@@ -46,8 +61,29 @@ class Rng
     /** Uniform double in [0, 1). */
     double nextDouble();
 
-    /** Uniform integer in [0, bound) using Lemire rejection. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    /**
+     * Uniform integer in [0, bound) by Lemire's multiply-shift with
+     * rejection. The threshold (2^64 mod bound) needs a division,
+     * and the low product word can only fall below it when that
+     * word is below `bound`, so the division runs only then. The
+     * accepted draws, and the draws consumed, are those of testing
+     * every draw against the threshold. Bound 0 returns 0 and
+     * draws nothing.
+     */
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        if (bound == 0)
+            return 0;
+        unsigned __int128 m =
+            static_cast<unsigned __int128>(next()) * bound;
+        if (static_cast<std::uint64_t>(m) < bound) {
+            const std::uint64_t threshold = (-bound) % bound;
+            while (static_cast<std::uint64_t>(m) < threshold)
+                m = static_cast<unsigned __int128>(next()) * bound;
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);

@@ -11,14 +11,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/json_parse.hh"
 #include "obs/perfdiff.hh"
+#include "stats/rng.hh"
 
 namespace xui
 {
@@ -207,6 +211,113 @@ TEST(PerfDiff, FirstMatchingRuleWins)
     PerfDiffResult r = perfDiff(base, cur, opts);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.skipped, 1u);
+}
+
+// ---------------------------------------------------------------
+// Seeded mutation of the committed BENCH_*.json references
+
+/** The committed BENCH_*.json files, read whole. */
+std::vector<std::string>
+committedBenchFiles()
+{
+    std::vector<std::string> docs;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(XUI_SOURCE_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("BENCH_", 0) != 0 ||
+            entry.path().extension() != ".json")
+            continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        docs.push_back(buf.str());
+    }
+    return docs;
+}
+
+/** One mutant of `doc`: bit flips, a deleted span, a truncation,
+ *  deep nesting, or a number pushed out of double range. */
+std::string
+mutate(const std::string &doc, Rng &rng)
+{
+    std::string m = doc;
+    switch (rng.nextBounded(6)) {
+      case 0:  // flip 1-4 bits
+        for (std::uint64_t n = 1 + rng.nextBounded(4); n > 0; --n)
+            m[rng.nextBounded(m.size())] ^=
+                static_cast<char>(1u << rng.nextBounded(8));
+        break;
+      case 1:  // delete a span of 1-16 bytes
+        m.erase(rng.nextBounded(m.size()), 1 + rng.nextBounded(16));
+        break;
+      case 2:  // truncate
+        m.resize(rng.nextBounded(m.size()));
+        break;
+      case 3: {  // wrap in arrays, around the parser's depth limit
+        const std::size_t k = rng.nextBounded(128);
+        m = std::string(k, '[') + m + std::string(k, ']');
+        break;
+      }
+      case 4:  // an unclosed run far past any depth limit
+        m.insert(rng.nextBounded(m.size() + 1),
+                 std::string(100000, rng.nextBool(0.5) ? '[' : '{'));
+        break;
+      default: {  // a huge mantissa or exponent inside a number
+        const std::size_t at = m.find_first_of(
+            "0123456789", rng.nextBounded(m.size()));
+        const char *tails[] = {"e999999", "e-999999", "E+400"};
+        m.insert(at == std::string::npos ? m.size() : at + 1,
+                 rng.nextBool(0.5) ? std::string(400, '9')
+                                   : tails[rng.nextBounded(3)]);
+        break;
+      }
+    }
+    return m;
+}
+
+TEST(JsonMutation, EveryMutantParsesOrNamesAnOffsetInTheText)
+{
+    const std::vector<std::string> docs = committedBenchFiles();
+    ASSERT_FALSE(docs.empty()) << "no BENCH_*.json in " << XUI_SOURCE_DIR;
+    for (const std::string &doc : docs) {
+        JsonValue v;
+        std::string err;
+        ASSERT_TRUE(jsonParse(doc, v, err)) << err;
+    }
+
+    Rng rng(0x150115);
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::string m =
+            mutate(docs[rng.nextBounded(docs.size())], rng);
+        JsonValue v;
+        std::string err;
+        if (jsonParse(m, v, err)) {
+            // Whatever parses flattens to finite numbers.
+            std::map<std::string, double> flat;
+            flattenNumbers(v, "", flat);
+            for (const auto &[path, x] : flat)
+                ASSERT_TRUE(std::isfinite(x)) << path << " in mutant " << i;
+            ++parsed;
+            continue;
+        }
+        ++rejected;
+        const std::string marker = " at byte ";
+        const std::size_t at = err.rfind(marker);
+        ASSERT_NE(at, std::string::npos) << "mutant " << i << ": " << err;
+        const std::string digits = err.substr(at + marker.size());
+        ASSERT_FALSE(digits.empty()) << "mutant " << i << ": " << err;
+        ASSERT_EQ(digits.find_first_not_of("0123456789"),
+                  std::string::npos)
+            << "mutant " << i << ": " << err;
+        EXPECT_LE(std::stoull(digits), m.size())
+            << "mutant " << i << ": " << err;
+    }
+    // Both outcomes occur: wrapping within the depth limit parses,
+    // and most byte damage does not.
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 // ---------------------------------------------------------------
