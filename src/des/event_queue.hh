@@ -237,8 +237,8 @@ class EventQueue
 
     /**
      * Snapshot of pending events sorted by (when, seq), truncated to
-     * `max` entries (0 = all). O(pool) — diagnostics only (watchdog
-     * hang reports), never a hot path.
+     * `max` entries (0 = all). O(pool) — diagnostics only (stuck
+     * chaos cell reports), never a hot path.
      */
     std::vector<PendingEvent> pendingSnapshot(std::size_t max = 0)
         const;

@@ -12,13 +12,13 @@
 #include "des/simulation.hh"
 #include "exec/sweep.hh"
 #include "fault/invariants.hh"
-#include "fault/watchdog.hh"
 #include "stats/digest.hh"
 #include "obs/metrics.hh"
 #include "os/kernel.hh"
 #include "runtime/sender.hh"
 #include "stats/rng.hh"
 #include "uarch/uarch_system.hh"
+#include "verify/scenario.hh"
 #include "workloads/kernels.hh"
 
 namespace xui::chaos
@@ -128,9 +128,9 @@ struct Cell
     /**
      * Runaway self-rescheduling event loop — the livelock a
      * deschedule-site Storm directive plants in the ckpt_crash
-     * scenario. Nothing ever stops it; the watchdog budget converts
-     * it into StuckSimulation and rollback-recovery must regress to
-     * a checkpoint predating the directive (or a clean restart).
+     * scenario. Nothing ever stops it; the event budget ends the run
+     * as stuck and rollback-recovery must regress to a checkpoint
+     * predating the directive (or a clean restart).
      */
     void startLivelock()
     {
@@ -414,7 +414,7 @@ buildPreemptStorm(Cell &c)
  * The checkpoint/crash scenario: a UIPI stream with deschedule
  * windows (so the protocol slow paths stay exercised) whose fault
  * consults can also plant a livelock (Storm) that only rollback
- * recovery survives. The runCellCkpt driver snapshots this cell
+ * recovery survives. The cell driver snapshots this cell
  * every few hundred events, kills it mid-run, and restores.
  */
 void
@@ -453,8 +453,8 @@ buildCkptCrash(Cell &c)
  * exactly at the mode-transition cycles; a Delay directive pins full
  * detail at the boundary, and Drop/Duplicate arm the next raise (the
  * one landing on the handoff) to be lost or doubled. The cell then
- * checks the same interrupt conservation and record-timeline
- * invariants the verify tier enforces.
+ * checks the verify tier's interrupt conservation and record-timeline
+ * facts (checkInterruptFacts) plus the fast-forward ones.
  */
 CellResult
 runFfBoundaryCell(const CellConfig &cfg)
@@ -523,48 +523,13 @@ runFfBoundaryCell(const CellConfig &cfg)
     res.ffEntries = s.ffEntries;
     res.ffExits = s.ffExits;
 
-    if (s.interruptsRaised < s.interruptsDelivered) {
-        std::ostringstream os;
-        os << "duplicated deliveries: raised "
-           << s.interruptsRaised << " < delivered "
-           << s.interruptsDelivered;
-        res.violations.push_back(os.str());
-    }
-    if (s.interruptsRaised - s.interruptsDelivered > 1) {
-        std::ostringstream os;
-        os << "lost interrupts: raised " << s.interruptsRaised
-           << ", delivered " << s.interruptsDelivered;
-        res.violations.push_back(os.str());
-    }
+    checkInterruptFacts(s, res.violations);
     if (s.ffExits > s.ffEntries || s.ffEntries - s.ffExits > 1)
         res.violations.push_back(
             "fast-forward entries/exits do not telescope");
     if (entryConsults == 0)
         res.violations.push_back(
             "fast-forward never engaged: no boundaries exercised");
-    if (s.intrRecords.size() > s.interruptsDelivered ||
-        s.intrRecords.size() + 1 < s.interruptsDelivered) {
-        std::ostringstream os;
-        os << "record count " << s.intrRecords.size()
-           << " inconsistent with delivered "
-           << s.interruptsDelivered;
-        res.violations.push_back(os.str());
-    }
-    Cycles prev_uiret = 0;
-    for (std::size_t i = 0; i < s.intrRecords.size(); ++i) {
-        const IntrRecord &r = s.intrRecords[i];
-        const bool mono = r.acceptedAt >= r.raisedAt &&
-            r.injectedAt >= r.acceptedAt &&
-            r.deliveryCommitAt >= r.firstUopCommitAt &&
-            r.uiretCommitAt > r.deliveryCommitAt &&
-            r.injectedAt >= prev_uiret;
-        if (!mono) {
-            std::ostringstream os;
-            os << "record " << i << " timeline not monotonic";
-            res.violations.push_back(os.str());
-        }
-        prev_uiret = r.uiretCommitAt;
-    }
 
     res.passed = res.violations.empty();
     return res;
@@ -610,7 +575,7 @@ buildScenario(Cell &c)
     assert(false && "unknown scenario kind");
 }
 
-/** Ledger/counter harvest shared by runCell and runCellCkpt. */
+/** Ledger/counter harvest of a finished kernel-tier cell. */
 void
 harvestCell(Cell &cell, CellResult &res)
 {
@@ -798,37 +763,51 @@ cellScheduleSeed(ScenarioKind kind, std::uint64_t seed)
 }
 
 /**
- * Checkpoint-enabled cell driver. The plain runCell path is
- * untouched when every ckpt field is off; this driver adds three
- * behaviours around the same scenario machinery:
+ * The kernel-tier cell driver. It runs the scenario through the
+ * horizon, stops its sources, drains the queue and runs the final
+ * resume-drain, all under one event budget: the count is checked
+ * before every event, so a runaway reschedule loop ends the cell as
+ * `stuck` in milliseconds, with the cycle and the next pending events
+ * in the report.
  *
- *  - every `ckptEvery` fired events, a logical snapshot is taken
- *    (in memory, and through the crash-consistent on-disk engine
- *    when a generation path is configured — with Site::
- *    CheckpointWrite consulted per write, so storage damage lands
- *    exactly where the schedule aims it);
+ * A cell checkpoints when its config asks for it (the ckpt_crash
+ * scenario, `ckptEvery`, `crashAtEvent` or `restoreFrom`). Only a
+ * checkpointing cell adds three behaviours:
+ *
+ *  - every `ckptEvery` fired events (default 512), a logical
+ *    snapshot is taken (in memory, and through the crash-consistent
+ *    on-disk engine when a generation path is configured — with
+ *    Site::CheckpointWrite consulted per write, so storage damage
+ *    lands exactly where the schedule aims it);
  *  - at `crashAtEvent` the cell is killed once: all in-memory state
  *    is discarded, the latest *valid* on-disk generation is
  *    restored (damaged newer generations are detected and skipped,
  *    counted as fallbacks), and the run replays forward;
- *  - when the event budget trips (StuckSimulation) or the finished
- *    run violates delivery invariants, the driver rolls back and
- *    retries: the newest snapshot first, then geometrically earlier
- *    ones, finally a clean restart with every directive disarmed —
- *    the transient-fault model that escapes a fault-planted
- *    livelock.
+ *  - when the event budget trips or the finished run violates
+ *    delivery invariants, the driver rolls back and retries: the
+ *    newest snapshot first, then geometrically earlier ones, finally
+ *    a clean restart with every directive disarmed — the
+ *    transient-fault model that escapes a fault-planted livelock.
+ *
+ * A plain cell has no snapshot to return to, so it never rolls back:
+ * its first stuck or violating run is its result.
  *
  * Every restore is digest-validated: a replayed state that does not
  * reproduce the checkpoint is reported as a violation, never
  * silently accepted.
  */
 static CellResult
-runCellCkpt(const CellConfig &cfg)
+runKernelCell(const CellConfig &cfg)
 {
     CellResult res;
 
-    const std::uint64_t every =
-        cfg.ckptEvery != 0 ? cfg.ckptEvery : 512;
+    const bool checkpointing = cfg.kind == ScenarioKind::CkptCrash ||
+        cfg.ckptEvery != 0 || cfg.crashAtEvent != 0 ||
+        !cfg.restoreFrom.empty();
+    const bool rollBack = checkpointing && cfg.rollbackRetry;
+    std::uint64_t every = 0; // snapshot cadence; 0 takes none
+    if (checkpointing)
+        every = cfg.ckptEvery != 0 ? cfg.ckptEvery : 512;
     ckpt::GenerationSet gens(cfg.ckptPathBase);
     // The kill below is an in-process simulation, so the page cache
     // survives it by construction and fsync buys no extra safety —
@@ -913,7 +892,7 @@ runCellCkpt(const CellConfig &cfg)
             q.runOne();
             ++ran;
             std::uint64_t k = q.firedCount();
-            if (k % every == 0)
+            if (every != 0 && k % every == 0)
                 takeSnapshot();
             if (crashArmed && k >= cfg.crashAtEvent) {
                 crashArmed = false;
@@ -927,6 +906,9 @@ runCellCkpt(const CellConfig &cfg)
         Outcome o = driveSpan(cfg.horizon, ran);
         if (o != Outcome::Completed)
             return o;
+        // Drain in-flight delayed faults and recovery rescans; the
+        // sources are stopped, so the queue empties unless a runaway
+        // reschedule loop exhausts the budget.
         cell->stopSources();
         for (;;) {
             Cycles next = cell->sim.queue().peekNextTime();
@@ -978,7 +960,7 @@ runCellCkpt(const CellConfig &cfg)
 
     /** @return false when out of retries (report the failure). */
     auto recoverFromStuck = [&]() -> bool {
-        if (!cfg.rollbackRetry || attempts >= cfg.maxRollbackRetries)
+        if (!rollBack || attempts >= cfg.maxRollbackRetries)
             return false;
         if (cleanRestartTried)
             return false; // even the fault-free restart failed
@@ -1030,7 +1012,9 @@ runCellCkpt(const CellConfig &cfg)
             for (const auto &p : pending)
                 msg << " @" << p.when << "#" << p.seq;
         }
-        msg << "; after " << attempts << " rollback retries)";
+        if (checkpointing)
+            msg << "; after " << attempts << " rollback retries";
+        msg << ")";
         return msg.str();
     };
 
@@ -1091,7 +1075,8 @@ runCellCkpt(const CellConfig &cfg)
         // Completed: a run that ends in violation also rolls back
         // (bounded like the stuck path) — the invariant-violation
         // arm of rollback-recovery.
-        if (!cell->ledger.check().empty() && recoverFromStuck()) {
+        if (rollBack && !cell->ledger.check().empty() &&
+            recoverFromStuck()) {
             rebuild();
             continue;
         }
@@ -1109,7 +1094,8 @@ runCellCkpt(const CellConfig &cfg)
     res.crashRecovered = crashRecovered;
 
     harvestCell(*cell, res);
-    if (!cfg.ckptPathBase.empty() && !cfg.ckptKeepFiles)
+    if (checkpointing && !cfg.ckptPathBase.empty() &&
+        !cfg.ckptKeepFiles)
         gens.removeAll();
     return res;
 }
@@ -1119,36 +1105,7 @@ runCell(const CellConfig &cfg)
 {
     if (cfg.kind == ScenarioKind::FfBoundary)
         return runFfBoundaryCell(cfg);
-    if (cfg.kind == ScenarioKind::CkptCrash || cfg.ckptEvery != 0 ||
-        cfg.crashAtEvent != 0 || !cfg.restoreFrom.empty())
-        return runCellCkpt(cfg);
-
-    CellResult res;
-    Cell cell(cfg);
-    buildScenario(cell);
-
-    fault::Watchdog dog(cell.sim.queue(), cfg.eventBudget);
-    try {
-        dog.runUntil(cfg.horizon);
-        cell.stopSources();
-        // Drain in-flight delayed faults and recovery rescans; the
-        // sources are stopped, so the queue empties (the watchdog
-        // budget still guards against a runaway reschedule loop).
-        for (;;) {
-            Cycles next = cell.sim.queue().peekNextTime();
-            if (next == EventQueue::kNoPending)
-                break;
-            dog.runUntil(next);
-        }
-        if (cfg.finalDrain)
-            cell.finalDrain();
-    } catch (const fault::StuckSimulation &e) {
-        res.stuck = true;
-        res.violations.push_back(e.what());
-    }
-
-    harvestCell(cell, res);
-    return res;
+    return runKernelCell(cfg);
 }
 
 fault::Schedule

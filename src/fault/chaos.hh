@@ -5,13 +5,13 @@
  *
  * A *cell* is one deterministic run: a scenario (a small DES-tier
  * workload exercising one notification protocol end to end) plus a
- * fault schedule, executed under a watchdog with a DeliveryLedger
- * attached. The cell passes when the run terminates within its event
- * budget and every delivery invariant holds. Because a cell is a
- * pure function of (kind, seed, schedule, flags), a failing cell
- * replays bit-for-bit from its command line, and its schedule can be
- * shrunk greedily to a 1-minimal reproducer: repeatedly drop any
- * directive whose removal keeps the cell failing.
+ * fault schedule, run with a DeliveryLedger attached. The cell passes
+ * when the run terminates within its event budget and every delivery
+ * invariant holds. Because a cell is a pure function of (kind, seed,
+ * schedule, flags), a failing cell replays bit-for-bit from its
+ * command line, and its schedule can be shrunk greedily to a
+ * 1-minimal reproducer: repeatedly drop any directive whose removal
+ * keeps the cell failing.
  *
  * The *grid* fans (kind x seed) cells across threads with
  * exec::sweepReduce, so results and report order are bit-identical
@@ -68,7 +68,7 @@ enum class ScenarioKind : std::uint8_t
      *  path (Site::CheckpointWrite damage), a simulated kill at a
      *  configured event count (recovery restores the latest valid
      *  generation and replays), and deschedule-site storms that
-     *  livelock the queue so the watchdog's rollback-retry earns
+     *  livelock the queue so the driver's rollback-retry earns
      *  its keep. */
     CkptCrash,
     kCount,
@@ -100,12 +100,18 @@ struct CellConfig
     bool finalDrain = true;
     /** Scenario activity stops at this cycle. */
     Cycles horizon = 200000;
-    /** Watchdog event budget (hang -> StuckSimulation). */
+    /**
+     * Events the cell may fire, counted across the horizon run and
+     * the drain; one more ends the cell as stuck.
+     */
     std::uint64_t eventBudget = 2000000;
 
-    // --- Checkpoint/restore (all off by default: runCell takes the
-    // --- pre-existing path untouched when every field is off).
-    /** Snapshot every N fired events (0 = no checkpointing). */
+    // --- Checkpoint/restore. A cell checkpoints when it is a
+    // --- CkptCrash cell or sets ckptEvery, crashAtEvent or
+    // --- restoreFrom; any other cell takes no snapshots, never
+    // --- crashes and never rolls back.
+    /** Snapshot every N fired events (0 = every 512 when the cell
+     *  checkpoints, none otherwise). */
     std::uint64_t ckptEvery = 0;
     /**
      * Simulated process kill once this many events fired (0 = no
@@ -127,8 +133,9 @@ struct CellConfig
      * by a different binary is refused loudly, never replayed.
      */
     std::string restoreFrom;
-    /** Roll back to a checkpoint and retry when the watchdog trips
-     *  or the finished run violates delivery invariants. */
+    /** Roll back to a checkpoint and retry when a checkpointing
+     *  cell exhausts its event budget or its finished run violates
+     *  delivery invariants. */
     bool rollbackRetry = true;
     /** Rollback-retry attempts before reporting the failure. */
     unsigned maxRollbackRetries = 16;
@@ -138,7 +145,8 @@ struct CellConfig
 struct CellResult
 {
     bool passed = false;
-    /** The watchdog fired (violations[0] carries the message). */
+    /** The event budget ran out (violations[0] carries the
+     *  message). */
     bool stuck = false;
     std::vector<std::string> violations;
 
@@ -189,7 +197,7 @@ struct CellResult
     std::uint64_t ckptCorruptDetected = 0;
     /** Restores that fell back past a damaged newest generation. */
     std::uint64_t ckptFallbacks = 0;
-    /** Watchdog/invariant rollback-retries performed. */
+    /** Stuck/invariant rollback-retries performed. */
     std::uint64_t rollbackRetries = 0;
     /** Events re-driven to reach restored checkpoints, summed. */
     std::uint64_t rollbackEventsReplayed = 0;

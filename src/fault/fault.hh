@@ -199,7 +199,7 @@ struct ScheduleOptions
     bool truncateCkptWrite = false;
     // Deschedule-site storm: the ckpt_crash scenario turns a storm
     // decision into a runaway self-rescheduling event loop — the
-    // livelock the watchdog budget converts into StuckSimulation and
+    // livelock the cell's event budget reports as stuck and
     // rollback-recovery must survive. Off by default for the same
     // byte-identical reason.
     bool stormDeschedule = false;

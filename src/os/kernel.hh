@@ -419,7 +419,7 @@ class Kernel
     }
 
     /**
-     * Record one watchdog rollback-retry: the run was rolled back
+     * Record one rollback-retry: the run was rolled back
      * to a checkpoint and `eventsReplayed` events were re-driven to
      * reach it. Called by the chaos harness on the surviving cell
      * (checkpoint recovery rebuilds the kernel, so the totals are

@@ -9,25 +9,23 @@
 namespace xui
 {
 
-namespace
-{
-
 void
-checkInterruptFacts(const CoreStats &s, ScenarioResult &out)
+checkInterruptFacts(const CoreStats &s,
+                    std::vector<std::string> &violations)
 {
     if (s.interruptsRaised < s.interruptsDelivered) {
         std::ostringstream os;
         os << "duplicated deliveries: raised "
            << s.interruptsRaised << " < delivered "
            << s.interruptsDelivered;
-        out.violations.push_back(os.str());
+        violations.push_back(os.str());
     }
     if (s.interruptsRaised - s.interruptsDelivered > 1) {
         std::ostringstream os;
         os << "lost interrupts: raised " << s.interruptsRaised
            << ", delivered " << s.interruptsDelivered
            << " (more than one in flight)";
-        out.violations.push_back(os.str());
+        violations.push_back(os.str());
     }
     // A record is closed at uiret commit, so a run that ends while
     // the final handler is still in flight legitimately has one
@@ -40,7 +38,7 @@ checkInterruptFacts(const CoreStats &s, ScenarioResult &out)
         os << "record count " << s.intrRecords.size()
            << " inconsistent with delivered "
            << s.interruptsDelivered;
-        out.violations.push_back(os.str());
+        violations.push_back(os.str());
     }
     Cycles prev_uiret = 0;
     for (std::size_t i = 0; i < s.intrRecords.size(); ++i) {
@@ -66,13 +64,11 @@ checkInterruptFacts(const CoreStats &s, ScenarioResult &out)
                << r.deliveryCommitAt << ", uiret "
                << r.uiretCommitAt << ", prev uiret " << prev_uiret
                << ")";
-            out.violations.push_back(os.str());
+            violations.push_back(os.str());
         }
         prev_uiret = r.uiretCommitAt;
     }
 }
-
-} // namespace
 
 ScenarioResult
 extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
@@ -126,7 +122,7 @@ extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
     if (s.committedUops > s.fetchedUops)
         out.violations.push_back(
             "conservation violated: committed > fetched uops");
-    checkInterruptFacts(s, out);
+    checkInterruptFacts(s, out.violations);
     return out;
 }
 

@@ -132,6 +132,15 @@ extractScenarioResult(const ScenarioConfig &cfg, const Program &prog,
                       const std::vector<std::uint32_t> &commitPcs);
 
 /**
+ * Interrupt conservation and timeline facts of a finished core: no
+ * duplicated delivery, at most one raise still in flight, one record
+ * per delivery (plus one open record per preemption), and monotonic
+ * per-record timelines. Appends one line per violated fact.
+ */
+void checkInterruptFacts(const CoreStats &s,
+                         std::vector<std::string> &violations);
+
+/**
  * Run one scenario: a ScenarioRun (scenario_run.hh) run to its end.
  * @param capture when non-null, also records the full binary trace.
  * @param extraTracer when non-null, an additional tee'd trace sink.

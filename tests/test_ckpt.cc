@@ -12,8 +12,8 @@
  * snapshot Reader, the ckpt_crash chaos driver (crash
  * recovery, rollback-retry,
  * restore-from-file), the kernel.recovery.rollback_* counters, and
- * the watchdog's bounded pending-event snapshot under repeated trips
- * (the ASan leak/determinism loop).
+ * the bounded pending-event snapshot a stuck cell reports, under
+ * repeated trips (the ASan leak/determinism loop).
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +32,6 @@
 #include "des/simulation.hh"
 #include "fault/chaos.hh"
 #include "fault/fault.hh"
-#include "fault/watchdog.hh"
 #include "obs/metrics.hh"
 #include "os/cost_model.hh"
 #include "os/kernel.hh"
@@ -1100,7 +1099,7 @@ TEST(RecoveryCounters, NoteRollbackAccountsEveryRetry)
         130u);
 }
 
-// ----- watchdog pending-event snapshot ------------------------------
+// ----- pending-event snapshot --------------------------------------
 
 TEST(WatchdogSnapshot, BoundedTopKMatchesSortedPrefix)
 {
@@ -1128,11 +1127,12 @@ TEST(WatchdogSnapshot, BoundedTopKMatchesSortedPrefix)
 }
 
 /**
- * The rollback-retry driver can trip the watchdog over and over on
- * the same wedged queue; each trip must produce a bounded, sorted
- * snapshot and leak nothing (this test is what ASan chews on).
+ * A stuck cell reports its pending events, and the rollback-retry
+ * driver can trip the budget over and over on the same wedged queue;
+ * each snapshot must be bounded and sorted and leak nothing (this
+ * test is what ASan chews on).
  */
-TEST(WatchdogSnapshot, HundredTripsBoundedAndLeakFree)
+TEST(PendingSnapshot, HundredTripsBoundedAndLeakFree)
 {
     Simulation sim{1};
     EventQueue &q = sim.queue();
@@ -1142,20 +1142,17 @@ TEST(WatchdogSnapshot, HundredTripsBoundedAndLeakFree)
         q.scheduleAt(1'000'000 + i, [] {});
 
     for (int trip = 0; trip < 100; ++trip) {
-        fault::Watchdog dog(q, 50);
-        try {
-            dog.runUntil(2'000'000);
-            FAIL() << "trip " << trip
-                   << ": expected StuckSimulation";
-        } catch (const fault::StuckSimulation &e) {
-            EXPECT_LE(e.pending().size(), 8u);
-            EXPECT_GE(e.pendingCount(), 64u);
-            for (std::size_t i = 1; i < e.pending().size(); ++i) {
-                const auto &a = e.pending()[i - 1];
-                const auto &b = e.pending()[i];
-                EXPECT_TRUE(a.when < b.when ||
-                            (a.when == b.when && a.seq < b.seq));
-            }
+        for (int e = 0; e < 50; ++e)
+            ASSERT_TRUE(q.runOne()) << "trip " << trip;
+        auto pending = q.pendingSnapshot(8);
+        ASSERT_FALSE(pending.empty()) << "trip " << trip;
+        EXPECT_LE(pending.size(), 8u);
+        EXPECT_GE(q.pending(), 64u);
+        for (std::size_t i = 1; i < pending.size(); ++i) {
+            const auto &a = pending[i - 1];
+            const auto &b = pending[i];
+            EXPECT_TRUE(a.when < b.when ||
+                        (a.when == b.when && a.seq < b.seq));
         }
     }
 }

@@ -80,13 +80,14 @@ chaosFlags(ChaosOptions &o)
          &o.directives},
         {"--horizon", "CYCLES", "scenario activity stops here",
          &o.horizon},
-        {"--budget", "EVENTS", "watchdog event budget per cell",
+        {"--budget", "EVENTS", "event budget per cell",
          &o.budget},
         {"--no-recovery", "", "disable kernel recovery and final drain",
          &o.noRecovery},
         {"--no-shrink", "", "report failing schedules unshrunk",
          &o.noShrink},
-        {"--checkpoint-every", "N", "snapshot every N fired events",
+        {"--checkpoint-every", "N",
+         "snapshot every N fired events (grid: ckpt_crash cells only)",
          &o.checkpointEvery, 1},
         {"--ckpt-dir", "DIR", "keep snapshot generations here",
          &o.ckptDir},

@@ -4,7 +4,7 @@
  *
  * Fans a (scenario x fault-seed) grid across worker threads. Each
  * cell builds its own simulated system, generates a fault schedule
- * from its seed, runs the scenario under a watchdog with the
+ * from its seed, runs the scenario within its event budget with the
  * delivery ledger attached, and checks the delivery invariants
  * (src/fault/invariants.hh). Failing cells are shrunk greedily to a
  * 1-minimal directive list and reported with a ready-to-paste replay
