@@ -1,10 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the substrate components:
- * LPM lookup, skiplist operations, histogram recording, event-queue
- * throughput, cache-model construction and access, branch-predictor
- * updates, the 256-bit vector bitmap, the pipeline-event digest,
- * the bounded random draw and the functional fast-forward loop.
+ * LPM lookup and table build, skiplist operations, histogram
+ * recording, event-queue throughput, cache-model construction and
+ * access, branch-predictor updates, the 256-bit vector bitmap, the
+ * pipeline-event digest, the bounded random draw and the functional
+ * fast-forward loop.
  * These measure the *simulator's* own
  * performance, guarding against regressions that would make the
  * figure benches impractically slow.
@@ -44,6 +45,20 @@ BM_LpmLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LpmLookup)->Arg(1000)->Arg(16000);
+
+// One Fig. 8 table build: the 48 MiB DIR-24-8 table plus 16,000
+// random routes at a fixed seed, as each L3Fwd constructor pays it.
+static void
+BM_LpmBuild(benchmark::State &state)
+{
+    for (auto _ : state) {
+        Rng rng(1);
+        LpmTable table(512);
+        benchmark::DoNotOptimize(
+            installRandomRoutes(table, 16000, rng).size());
+    }
+}
+BENCHMARK(BM_LpmBuild)->Unit(benchmark::kMillisecond);
 
 static void
 BM_SkipListGet(benchmark::State &state)

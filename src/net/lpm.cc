@@ -1,5 +1,6 @@
 #include "net/lpm.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace xui
@@ -32,34 +33,92 @@ LpmTable::addRoute(std::uint32_t prefix, unsigned depth,
     return ok;
 }
 
+namespace
+{
+
+// Slots a shallow route paints per step. Spans this wide or wider
+// are aligned to it.
+constexpr std::uint32_t kBlock = 16;
+
+/**
+ * Paint one aligned block of non-extended tbl24 slots: a slot takes
+ * the route when its depth is at most `depth`. Written as selects
+ * over non-aliasing pointers so the compiler can vectorize it.
+ */
+void
+paintBlock(std::uint16_t *__restrict entry,
+           std::uint8_t *__restrict depth_of, std::uint16_t fresh,
+           std::uint8_t depth)
+{
+    for (std::uint32_t k = 0; k < kBlock; ++k) {
+        const bool w = depth_of[k] <= depth;
+        entry[k] = w ? fresh : entry[k];
+        depth_of[k] = w ? depth : depth_of[k];
+    }
+}
+
+} // namespace
+
 bool
 LpmTable::addShallowRoute(std::uint32_t prefix, unsigned depth,
                           NextHop next_hop)
 {
-    std::uint32_t start = prefix >> 8;
-    std::uint32_t span = 1u << (24 - depth);
-    std::uint16_t fresh = static_cast<std::uint16_t>(
+    const std::uint32_t start = prefix >> 8;
+    const std::uint32_t end = start + (1u << (24 - depth));
+    const std::uint16_t fresh = static_cast<std::uint16_t>(
         kValid | (next_hop & kValueMask));
+    const auto d = static_cast<std::uint8_t>(depth);
 
-    for (std::uint32_t i = start; i < start + span; ++i) {
-        std::uint16_t cur = tbl24_[i];
-        if (cur & kExtended) {
-            // Propagate into the existing tbl8 group where this
-            // route is the longest match.
-            std::uint32_t group = cur & kValueMask;
-            Tbl8Entry *g = &tbl8_[group * 256];
-            for (unsigned j = 0; j < 256; ++j) {
-                if (!(g[j].entry & kValid) || g[j].depth <= depth) {
-                    g[j].entry = fresh;
-                    g[j].depth = static_cast<std::uint8_t>(depth);
-                }
-            }
-        } else if (!(cur & kValid) || tbl24Depth_[i] <= depth) {
-            tbl24_[i] = fresh;
-            tbl24Depth_[i] = static_cast<std::uint8_t>(depth);
+    if (end - start < kBlock) {
+        for (std::uint32_t i = start; i < end; ++i)
+            paintSlot(i, fresh, d);
+        return true;
+    }
+    // Spans of kBlock or more are kBlock-aligned. A block holding an
+    // extended slot takes the per-slot path, which propagates into
+    // that slot's tbl8 group.
+    for (std::uint32_t b = start; b < end; b += kBlock) {
+        const std::uint8_t *depth_of = &tbl24Depth_[b];
+        std::uint8_t deepest = 0;
+        for (std::uint32_t k = 0; k < kBlock; ++k)
+            deepest = std::max(deepest, depth_of[k]);
+        if (deepest == kExtendedDepth) {
+            for (std::uint32_t i = b; i < b + kBlock; ++i)
+                paintSlot(i, fresh, d);
+        } else {
+            paintBlock(&tbl24_[b], &tbl24Depth_[b], fresh, d);
         }
     }
     return true;
+}
+
+void
+LpmTable::paintSlot(std::uint32_t i, std::uint16_t fresh,
+                    std::uint8_t depth)
+{
+    const std::uint16_t cur = tbl24_[i];
+    if (cur & kExtended) {
+        // Propagate into the existing tbl8 group where this route is
+        // the longest match.
+        paintTbl8(cur & kValueMask, 0, 256, fresh, depth);
+    } else if (tbl24Depth_[i] <= depth) {
+        // An invalid slot has depth 0, so this also claims it.
+        tbl24_[i] = fresh;
+        tbl24Depth_[i] = depth;
+    }
+}
+
+void
+LpmTable::paintTbl8(std::uint32_t group, unsigned lo, unsigned hi,
+                    std::uint16_t fresh, std::uint8_t depth)
+{
+    Tbl8Entry *g = &tbl8_[static_cast<std::size_t>(group) * 256];
+    for (unsigned j = lo; j < hi; ++j) {
+        if (!(g[j].entry & kValid) || g[j].depth <= depth) {
+            g[j].entry = fresh;
+            g[j].depth = depth;
+        }
+    }
 }
 
 int
@@ -100,20 +159,16 @@ LpmTable::addDeepRoute(std::uint32_t prefix, unsigned depth,
         group = static_cast<std::uint32_t>(alloc);
         tbl24_[idx] = static_cast<std::uint16_t>(
             kValid | kExtended | (group & kValueMask));
-        // Depth of the tbl24 slot itself no longer applies.
+        // Deeper than any shallow route: no later tbl24 paint takes
+        // this slot.
+        tbl24Depth_[idx] = kExtendedDepth;
     }
 
-    unsigned low = prefix & 0xff;
-    unsigned span = 1u << (32 - depth);
-    Tbl8Entry *g = &tbl8_[static_cast<std::size_t>(group) * 256];
-    std::uint16_t fresh = static_cast<std::uint16_t>(
-        kValid | (next_hop & kValueMask));
-    for (unsigned j = low; j < low + span; ++j) {
-        if (!(g[j].entry & kValid) || g[j].depth <= depth) {
-            g[j].entry = fresh;
-            g[j].depth = static_cast<std::uint8_t>(depth);
-        }
-    }
+    const unsigned low = prefix & 0xff;
+    paintTbl8(group, low, low + (1u << (32 - depth)),
+              static_cast<std::uint16_t>(kValid |
+                                         (next_hop & kValueMask)),
+              static_cast<std::uint8_t>(depth));
     return true;
 }
 

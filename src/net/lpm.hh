@@ -6,6 +6,16 @@
  * groups for prefixes longer than /24. Lookup is one or two array
  * reads. Insertions keep longest-prefix semantics regardless of
  * insertion order by tracking the depth that wrote each entry.
+ *
+ * An extended tbl24 slot (one that points at a tbl8 group) has depth
+ * 0xff and an invalid slot depth 0, so "slot depth <= route depth"
+ * alone decides whether a /1../24 route takes a non-extended slot.
+ * Routes of /20 or shorter span whole 16-slot blocks and paint them
+ * branch-free, 16 slots per step; a block holding an extended slot,
+ * and the 1..8 slots of a /21../24, go slot by slot and propagate
+ * into the slot's tbl8 group. Building the Fig. 8 table (16,000
+ * routes) takes ~30-45 ms on a 4-vCPU Xeon VM, most of it first-touch
+ * page faults on the 48 MiB of tables.
  */
 
 #ifndef XUI_NET_LPM_HH
@@ -54,6 +64,9 @@ class LpmTable
     static constexpr std::uint16_t kValid = 0x8000;
     static constexpr std::uint16_t kExtended = 0x4000;
     static constexpr std::uint16_t kValueMask = 0x3fff;
+    // tbl24Depth_ of an extended slot: deeper than any shallow
+    // route, so a shallow paint's depth test never takes the slot.
+    static constexpr std::uint8_t kExtendedDepth = 0xff;
 
     struct Tbl8Entry
     {
@@ -67,6 +80,12 @@ class LpmTable
                       NextHop next_hop);
     int allocateTbl8(std::uint16_t inherited_entry,
                      std::uint8_t inherited_depth);
+    /** Paint one tbl24 slot, propagating into its tbl8 group. */
+    void paintSlot(std::uint32_t i, std::uint16_t fresh,
+                   std::uint8_t depth);
+    /** Paint entries [lo, hi) of one tbl8 group. */
+    void paintTbl8(std::uint32_t group, unsigned lo, unsigned hi,
+                   std::uint16_t fresh, std::uint8_t depth);
 
     std::vector<std::uint16_t> tbl24_;
     std::vector<std::uint8_t> tbl24Depth_;

@@ -35,10 +35,10 @@ installRandomRoutes(LpmTable &table, std::size_t count, Rng &rng)
             (static_cast<std::uint64_t>(r.prefix) << 6) | r.depth;
         if (!seen.insert(key).second)
             continue;
+        // Once tbl8 is full, a deep route whose /24 has no group yet
+        // is rejected and another route is drawn.
         if (table.addRoute(r.prefix, r.depth, r.nextHop))
             routes.push_back(r);
-        else if (table.tbl8InUse() == 0 && r.depth > 24)
-            continue;  // tbl8 exhausted; retry with another depth
     }
     return routes;
 }

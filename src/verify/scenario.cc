@@ -20,7 +20,7 @@ checkInterruptFacts(const CoreStats &s,
            << s.interruptsDelivered;
         violations.push_back(os.str());
     }
-    if (s.interruptsRaised - s.interruptsDelivered > 1) {
+    if (s.interruptsRaised > s.interruptsDelivered + 1) {
         std::ostringstream os;
         os << "lost interrupts: raised " << s.interruptsRaised
            << ", delivered " << s.interruptsDelivered

@@ -261,6 +261,44 @@ TEST(ScenarioTest, ArchEquivalenceDetectsDivergence)
     EXPECT_NE(eq.message.find("diverge"), std::string::npos);
 }
 
+namespace
+{
+
+bool
+anyLineStartsWith(const std::vector<std::string> &lines,
+                  const std::string &prefix)
+{
+    for (const std::string &l : lines)
+        if (l.rfind(prefix, 0) == 0)
+            return true;
+    return false;
+}
+
+} // namespace
+
+// More deliveries than raises is a duplicate, not a loss: the
+// conservation check must not wrap raised - delivered around.
+TEST(ScenarioTest, DuplicatedDeliveriesAreNotReportedLost)
+{
+    CoreStats s;
+    s.interruptsRaised = 4;
+    s.interruptsDelivered = 6;
+    std::vector<std::string> v;
+    checkInterruptFacts(s, v);
+    EXPECT_TRUE(anyLineStartsWith(
+        v, "duplicated deliveries: raised 4 < delivered 6"));
+    EXPECT_FALSE(anyLineStartsWith(v, "lost interrupts"));
+
+    s.interruptsRaised = 6;
+    s.interruptsDelivered = 4;
+    v.clear();
+    checkInterruptFacts(s, v);
+    EXPECT_TRUE(anyLineStartsWith(
+        v, "lost interrupts: raised 6, delivered 4 (more than one "
+           "in flight)"));
+    EXPECT_FALSE(anyLineStartsWith(v, "duplicated deliveries"));
+}
+
 TEST(DifferentialTest, CleanAcrossModes)
 {
     DifferentialReport rep = runDifferential(smallScenario());
