@@ -11,6 +11,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -629,6 +631,286 @@ TEST(KernelFault, DisabledFabricKeepsLedgerClean)
     rig.kernel.scheduleOn(t, 1);
     EXPECT_EQ(rig.delivered, 3u);
     EXPECT_TRUE(rig.ledger.ok());
+}
+
+// ----- kernel ledger keys ----------------------------------------------
+
+/** One kernel site that books the ledger, and what it must book. */
+struct LedgerSite
+{
+    const char *name;
+    /** Channel of the notification the site books. */
+    fault::Channel channel;
+    /**
+     * Drive the site on a fresh rig; return the (thread, vector) of
+     * the notification it books.
+     */
+    std::function<std::pair<ThreadId, unsigned>(KernelRig &)> drive;
+    std::uint64_t posted;
+    std::uint64_t delivered;
+    std::uint64_t abandoned;
+    std::uint64_t spuriousScans;
+    std::uint64_t coalescedSatisfied;
+    /** Handler invocations, booked or not. */
+    unsigned handlerRuns;
+};
+
+/** Advance the simulation clock to `at` with nothing else to run. */
+void
+advanceTo(KernelRig &rig, Cycles at)
+{
+    rig.sim.queue().scheduleAt(at, [] {});
+    rig.sim.runUntil(at);
+}
+
+/** A fault injector that applies one directive. */
+std::unique_ptr<fault::Injector>
+injectOnce(KernelRig &rig, fault::Site site, fault::Action action,
+           std::uint32_t magnitude)
+{
+    fault::Schedule s;
+    s.directives.push_back({site, 0, action, magnitude});
+    auto inj = std::make_unique<fault::Injector>(s);
+    rig.kernel.setFaultInjector(inj.get());
+    return inj;
+}
+
+TEST(KernelLedger, EverySiteBooksItsOwnKey)
+{
+    using fault::Channel;
+    constexpr unsigned kUv = 2;
+    constexpr unsigned kTimerVec = 33;
+    constexpr unsigned kSigno = 14;
+    std::unique_ptr<fault::Injector> inj;
+    DeliveryPolicy nextOnly;
+    nextOnly.behavior = DeliveryBehavior::NextOnly;
+
+    const std::vector<LedgerSite> sites = {
+        {"scanUpid (senduipi fast path)", Channel::Uipi,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.senduipi(rig.kernel.registerSender(t, kUv));
+             return std::make_pair(t, kUv);
+         },
+         1, 1, 0, 0, 0, 1},
+        {"drainParked DUPID drain", Channel::Forward,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             auto v = static_cast<unsigned>(
+                 rig.kernel.registerForwarding(t, 0));
+             rig.kernel.deschedule(t);
+             rig.kernel.deviceInterrupt(0, v);
+             rig.kernel.deviceInterrupt(0, v);
+             rig.kernel.scheduleOn(t, 0);
+             return std::make_pair(t, v);
+         },
+         2, 1, 0, 0, 1, 1},
+        {"scheduleOn missed KB deadline", Channel::KbTimer,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.enableKbTimer(t, kTimerVec);
+             rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
+             rig.kernel.deschedule(t);
+             advanceTo(rig, 2000);
+             rig.kernel.scheduleOn(t, 1);
+             return std::make_pair(t, kTimerVec);
+         },
+         1, 1, 0, 0, 0, 1},
+        {"scheduleOn pending signal", Channel::Signal,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.deschedule(t);
+             int id = rig.kernel.setInterval(t, 100, kSigno);
+             rig.sim.runUntil(250);  // two firings collapse
+             rig.kernel.cancelInterval(id);
+             rig.kernel.scheduleOn(t, 0);
+             return std::make_pair(t, kSigno);
+         },
+         2, 1, 0, 0, 1, 1},
+        {"deliverKbTimerFired", Channel::KbTimer,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.enableKbTimer(t, kTimerVec);
+             rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
+             rig.kernel.pollKbTimer(0, 1500);
+             return std::make_pair(t, kTimerVec);
+         },
+         1, 1, 0, 0, 0, 1},
+        // A delayed fire that lands on another thread's expired timer
+        // runs that thread's handler unbooked; the first thread's
+        // observed expiry travels with it and is booked on resume.
+        {"deliverKbTimerFired unbooked fire", Channel::KbTimer,
+         [&](KernelRig &rig) {
+             ThreadId a = rig.receiver(0);
+             ThreadId b = rig.kernel.createThread();
+             rig.kernel.registerHandler(
+                 b, [&rig](unsigned) { ++rig.delivered; });
+             rig.kernel.enableKbTimer(a, kTimerVec);
+             rig.kernel.enableKbTimer(b, kTimerVec + 1);
+             rig.kernel.setTimer(a, 1000, KbTimerMode::OneShot);
+             rig.kernel.setTimer(b, 1800, KbTimerMode::OneShot);
+             inj = injectOnce(rig, fault::Site::KbTimerFire,
+                              fault::Action::Delay, 500);
+             rig.sim.queue().scheduleAt(1500, [&rig, a, b] {
+                 rig.kernel.pollKbTimer(0, 1500);
+                 rig.kernel.deschedule(a);
+                 rig.kernel.scheduleOn(b, 0);
+             });
+             rig.sim.runUntil(2000);
+             EXPECT_EQ(rig.delivered, 1u);
+             EXPECT_EQ(rig.ledger.delivered(), 0u);
+             rig.kernel.scheduleOn(a, 1);
+             return std::make_pair(a, kTimerVec);
+         },
+         1, 1, 0, 0, 0, 2},
+        {"deviceInterrupt fast path", Channel::Forward,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             auto v = static_cast<unsigned>(
+                 rig.kernel.registerForwarding(t, 0));
+             rig.kernel.deviceInterrupt(0, v);
+             return std::make_pair(t, v);
+         },
+         1, 1, 0, 0, 0, 1},
+        {"delayedForwardDeliver", Channel::Forward,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             auto v = static_cast<unsigned>(
+                 rig.kernel.registerForwarding(t, 0));
+             inj = injectOnce(rig, fault::Site::ForwardDispatch,
+                              fault::Action::Delay, 50);
+             rig.kernel.deviceInterrupt(0, v);
+             EXPECT_EQ(rig.delivered, 0u);
+             rig.sim.runUntil(1000);
+             return std::make_pair(t, v);
+         },
+         1, 1, 0, 0, 0, 1},
+        {"setInterval firing on a running thread", Channel::Signal,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             int id = rig.kernel.setInterval(t, 100, kSigno);
+             rig.sim.runUntil(150);
+             rig.kernel.cancelInterval(id);
+             return std::make_pair(t, kSigno);
+         },
+         1, 1, 0, 0, 0, 1},
+        {"senduipi NEXT_ONLY miss", Channel::Uipi,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             int idx = rig.kernel.registerSender(t, kUv);
+             rig.kernel.setDeliveryPolicy(t, kUv, nextOnly);
+             rig.kernel.deschedule(t);
+             rig.kernel.senduipi(idx);
+             return std::make_pair(t, kUv);
+         },
+         1, 0, 1, 0, 0, 0},
+        {"deviceInterrupt slow path NEXT_ONLY miss", Channel::Forward,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             auto v = static_cast<unsigned>(
+                 rig.kernel.registerForwarding(t, 0));
+             rig.kernel.setDeliveryPolicy(t, v, nextOnly);
+             rig.kernel.deschedule(t);
+             rig.kernel.deviceInterrupt(0, v);
+             return std::make_pair(t, v);
+         },
+         1, 0, 1, 0, 0, 0},
+        {"setTimer abandons a descheduled due expiry", Channel::KbTimer,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.enableKbTimer(t, kTimerVec);
+             rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
+             inj = injectOnce(rig, fault::Site::KbTimerFire,
+                              fault::Action::Drop, 0);
+             rig.kernel.pollKbTimer(0, 1500);
+             rig.kernel.deschedule(t);
+             rig.kernel.setTimer(t, 5000, KbTimerMode::OneShot);
+             return std::make_pair(t, kTimerVec);
+         },
+         1, 0, 1, 0, 0, 0},
+        {"clearTimer abandons a descheduled due expiry",
+         Channel::KbTimer,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.enableKbTimer(t, kTimerVec);
+             rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
+             inj = injectOnce(rig, fault::Site::KbTimerFire,
+                              fault::Action::Drop, 0);
+             rig.kernel.pollKbTimer(0, 1500);
+             rig.kernel.deschedule(t);
+             rig.kernel.clearTimer(t);
+             return std::make_pair(t, kTimerVec);
+         },
+         1, 0, 1, 0, 0, 0},
+        {"abandonTimerDue on a running reprogram", Channel::KbTimer,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             rig.kernel.enableKbTimer(t, kTimerVec);
+             rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
+             inj = injectOnce(rig, fault::Site::KbTimerFire,
+                              fault::Action::Drop, 0);
+             rig.kernel.pollKbTimer(0, 1500);
+             rig.kernel.setTimer(t, 5000, KbTimerMode::OneShot);
+             return std::make_pair(t, kTimerVec);
+         },
+         1, 0, 1, 0, 0, 0},
+        {"notifyArrived spurious scan", Channel::Uipi,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             int idx = rig.kernel.registerSender(t, kUv);
+             inj = injectOnce(rig, fault::Site::NotifyIpi,
+                              fault::Action::Duplicate, 0);
+             rig.kernel.senduipi(idx);
+             rig.sim.runUntil(1000);
+             return std::make_pair(t, kUv);
+         },
+         1, 1, 0, 1, 0, 1},
+        // The occupancy engine runs the handler at frame start but
+        // books the delivery when the frame completes.
+        {"occupancy engine frame completion", Channel::Uipi,
+         [&](KernelRig &rig) {
+             ThreadId t = rig.receiver(0);
+             int idx = rig.kernel.registerSender(t, kUv);
+             rig.kernel.setHandlerCost(t, kUv, 500);
+             rig.kernel.senduipi(idx);
+             EXPECT_EQ(rig.delivered, 1u);
+             EXPECT_EQ(rig.ledger.delivered(), 0u);
+             rig.sim.runUntil(1000);
+             EXPECT_TRUE(rig.kernel.engineIdle(t));
+             return std::make_pair(t, kUv);
+         },
+         1, 1, 0, 0, 0, 1},
+    };
+
+    for (const LedgerSite &site : sites) {
+        SCOPED_TRACE(site.name);
+        KernelRig rig;
+        auto [thread, vector] = site.drive(rig);
+        EXPECT_EQ(rig.ledger.posted(), site.posted);
+        EXPECT_EQ(rig.ledger.delivered(), site.delivered);
+        EXPECT_EQ(rig.ledger.abandoned(), site.abandoned);
+        EXPECT_EQ(rig.ledger.spuriousScans(), site.spuriousScans);
+        EXPECT_EQ(rig.ledger.coalescedSatisfied(),
+                  site.coalescedSatisfied);
+        EXPECT_EQ(rig.ledger.outstanding(), 0u);
+        EXPECT_EQ(rig.delivered, site.handlerRuns);
+        EXPECT_TRUE(rig.ledger.ok());
+
+        // One more post on the expected key strands it only if the
+        // site delivered or abandoned under that key; under any other
+        // key the post reads as a lost notification.
+        std::uint64_t key = fault::keyFor(site.channel, thread, vector);
+        rig.ledger.onPosted(key);
+        auto violations = rig.ledger.check();
+        ASSERT_EQ(violations.size(), 1u);
+        EXPECT_EQ(violations[0].rfind("stranded notification: " +
+                                          fault::describeKey(key),
+                                      0),
+                  0u)
+            << violations[0];
+        rig.kernel.setFaultInjector(nullptr);
+        inj.reset();
+    }
 }
 
 // ----- ReliableSender ------------------------------------------------
