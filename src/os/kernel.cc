@@ -17,34 +17,7 @@ Kernel::traceSample(KernelStat stat, unsigned vector, std::uint64_t n)
                   vector, sim_.now(), n);
 }
 
-namespace
-{
-
-std::uint64_t
-uipiKey(ThreadId t, unsigned v)
-{
-    return fault::keyFor(fault::Channel::Uipi, t, v);
-}
-
-std::uint64_t
-kbKey(ThreadId t, unsigned v)
-{
-    return fault::keyFor(fault::Channel::KbTimer, t, v);
-}
-
-std::uint64_t
-fwdKey(ThreadId t, unsigned v)
-{
-    return fault::keyFor(fault::Channel::Forward, t, v);
-}
-
-std::uint64_t
-sigKey(ThreadId t, unsigned signo)
-{
-    return fault::keyFor(fault::Channel::Signal, t, signo);
-}
-
-} // namespace
+using fault::Channel;
 
 Kernel::Kernel(Simulation &sim, const CostModel &costs,
                unsigned num_cores)
@@ -89,6 +62,43 @@ Kernel::isRunning(ThreadId id) const
     return thread(id).running;
 }
 
+void
+Kernel::deliver(Channel ch, ThreadId id, unsigned vector, bool booked)
+{
+    if (deliverViaEngine(id, vector, ch, booked))
+        return;  // booked when the frame completes
+    Thread &t = thread(id);
+    if (t.handler)
+        t.handler(vector);
+    if (booked)
+        book(Booking::Delivered, ch, id, vector);
+}
+
+void
+Kernel::book(Booking what, Channel ch, ThreadId id, unsigned vector)
+{
+    if (ledger_ == nullptr)
+        return;
+    std::uint64_t key = fault::keyFor(ch, id, vector);
+    switch (what) {
+      case Booking::Posted:
+        ledger_->onPosted(key);
+        return;
+      case Booking::Delivered:
+        ledger_->onDelivered(key);
+        return;
+      case Booking::Abandoned:
+        ledger_->onAbandoned(key);
+        return;
+      case Booking::AbandonedOne:
+        ledger_->onAbandonedOne(key);
+        return;
+      case Booking::SpuriousScan:
+        ledger_->onSpuriousScan();
+        return;
+    }
+}
+
 unsigned
 Kernel::drainParked(ThreadId id)
 {
@@ -105,12 +115,7 @@ Kernel::drainParked(ThreadId id)
         for (unsigned v = parked.findFirst(); v < 256;
              v = parked.findFirst()) {
             parked.clear(v);
-            if (!deliverViaEngine(id, v, fwdKey(id, v))) {
-                if (t.handler)
-                    t.handler(v);
-                if (ledger_ != nullptr)
-                    ledger_->onDelivered(fwdKey(id, v));
-            }
+            deliver(Channel::Forward, id, v);
             const DeliveryPolicy *p = policyFor(t, v);
             if (p != nullptr &&
                 p->behavior == DeliveryBehavior::NextOrMissed) {
@@ -132,12 +137,7 @@ Kernel::scanUpid(ThreadId id)
     unsigned delivered = 0;
     for (unsigned v = 0; v < kNumUserVectors; ++v) {
         if ((pir >> v) & 1) {
-            if (!deliverViaEngine(id, v, uipiKey(id, v))) {
-                if (t.handler)
-                    t.handler(v);
-                if (ledger_ != nullptr)
-                    ledger_->onDelivered(uipiKey(id, v));
-            }
+            deliver(Channel::Uipi, id, v);
             if (inResumeDrain_) {
                 const DeliveryPolicy *p = policyFor(t, v);
                 if (p != nullptr &&
@@ -165,8 +165,7 @@ Kernel::notifyArrived(ThreadId id)
     } else {
         // Dedup absorbed it (duplicate/storm): scan finds nothing.
         t.upid.clearOutstanding();
-        if (ledger_ != nullptr)
-            ledger_->onSpuriousScan();
+        book(Booking::SpuriousScan);
         note(KernelStat::RecoverySpuriousScans);
     }
 }
@@ -225,14 +224,9 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
             core.timer.restore(t.timerSave, sim_.now());
         if (missed && t.handler) {
             cost += costs_.kbTimerReceive;
-            if (ledger_ != nullptr && !t.timerDuePosted)
-                ledger_->onPosted(kbKey(id, t.timerVector));
-            if (!deliverViaEngine(id, t.timerVector,
-                                  kbKey(id, t.timerVector))) {
-                t.handler(t.timerVector);
-                if (ledger_ != nullptr)
-                    ledger_->onDelivered(kbKey(id, t.timerVector));
-            }
+            if (!t.timerDuePosted)
+                book(Booking::Posted, Channel::KbTimer, id, t.timerVector);
+            deliver(Channel::KbTimer, id, t.timerVector);
             if (t.timerDuePosted) {
                 t.timerDuePosted = false;
                 note(KernelStat::RecoveryKbTimerLate, t.timerVector);
@@ -253,13 +247,7 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
     // A pending interval-timer signal fires on resume.
     if (t.pendingSignal) {
         t.pendingSignal = false;
-        if (!deliverViaEngine(id, t.pendingSigno,
-                              sigKey(id, t.pendingSigno))) {
-            if (t.handler)
-                t.handler(t.pendingSigno);
-            if (ledger_ != nullptr)
-                ledger_->onDelivered(sigKey(id, t.pendingSigno));
-        }
+        deliver(Channel::Signal, id, t.pendingSigno);
         ++signalsDelivered_;
         note(KernelStat::SignalsDelivered);
         cost += costs_.signalReceive;
@@ -343,17 +331,14 @@ Kernel::senduipi(int uitt_index)
     if (policy != nullptr &&
         policy->behavior == DeliveryBehavior::NextOnly &&
         !t.running) {
-        if (ledger_ != nullptr) {
-            ledger_->onPosted(uipiKey(tid, uv));
-            ledger_->onAbandonedOne(uipiKey(tid, uv));
-        }
+        book(Booking::Posted, Channel::Uipi, tid, uv);
+        book(Booking::AbandonedOne, Channel::Uipi, tid, uv);
         note(KernelStat::ModerationMissed, uv);
         return DeliveryPath::Suppressed;
     }
 
     Upid::PostResult result = entry->upid->post(uv);
-    if (ledger_ != nullptr)
-        ledger_->onPosted(uipiKey(tid, uv));
+    book(Booking::Posted, Channel::Uipi, tid, uv);
 
     // Moderation gates only the notification: the post is already
     // in the PIR, so the eventual flush scan delivers the batch.
@@ -435,8 +420,7 @@ Kernel::senduipi(int uitt_index)
             // rescan path recovers the stranded post.
             note(KernelStat::FaultIpiReordered);
             t.upid.clearOutstanding();
-            if (ledger_ != nullptr)
-                ledger_->onSpuriousScan();
+            book(Booking::SpuriousScan);
             note(KernelStat::RecoverySpuriousScans);
             if (recoveryEnabled_)
                 scheduleUpidRecovery(tid, 0);
@@ -469,13 +453,6 @@ Kernel::setDeliveryPolicy(ThreadId id, unsigned vector,
                           DeliveryPolicy policy)
 {
     thread(id).policies[vector] = policy;
-}
-
-DeliveryPolicy
-Kernel::deliveryPolicy(ThreadId id, unsigned vector) const
-{
-    const DeliveryPolicy *p = policyFor(thread(id), vector);
-    return p != nullptr ? *p : DeliveryPolicy{};
 }
 
 void
@@ -545,8 +522,7 @@ Kernel::moderationFlush(ThreadId id, unsigned vector)
         scanUpid(id);
     } else {
         // Resume drain beat the flush to the batch.
-        if (ledger_ != nullptr)
-            ledger_->onSpuriousScan();
+        book(Booking::SpuriousScan);
         note(KernelStat::RecoverySpuriousScans, vector);
     }
 }
@@ -599,7 +575,7 @@ Kernel::engineEnqueue(Thread &t, const EngDeferred &d)
 
 bool
 Kernel::deliverViaEngine(ThreadId id, unsigned vector,
-                         std::uint64_t key)
+                         Channel ch, bool booked)
 {
     Thread &t = thread(id);
     if (t.handlerCosts.empty())
@@ -616,7 +592,8 @@ Kernel::deliverViaEngine(ThreadId id, unsigned vector,
     d.vector = vector;
     d.prio = prio;
     d.cost = it->second;
-    d.key = key;
+    d.channel = ch;
+    d.booked = booked;
     d.seq = engSeq_++;
     engineEnqueue(t, d);
     engineArrival(id, vector);
@@ -677,7 +654,8 @@ Kernel::enginePreempt(ThreadId id)
                         r.vector = lost.vector;
                         r.prio = lost.prio;
                         r.cost = lost.remaining;
-                        r.key = lost.key;
+                        r.channel = lost.channel;
+                        r.booked = lost.booked;
                         r.seq = seq;
                         r.alreadyStarted = true;
                         engineEnqueue(t2, r);
@@ -710,7 +688,8 @@ Kernel::engineStartFrame(ThreadId id)
     EngFrame f;
     f.vector = d.vector;
     f.prio = d.prio;
-    f.key = d.key;
+    f.channel = d.channel;
+    f.booked = d.booked;
     f.remaining = 0;
     t.engFrames.push_back(f);
     t.engState = EngState::Running;
@@ -756,8 +735,8 @@ Kernel::engineAdvance(ThreadId id, std::uint64_t gen)
         assert(!t.engFrames.empty());
         EngFrame done = t.engFrames.back();
         t.engFrames.pop_back();
-        if (ledger_ != nullptr && done.key != kNoLedgerKey)
-            ledger_->onDelivered(done.key);
+        if (done.booked)
+            book(Booking::Delivered, done.channel, id, done.vector);
         note(KernelStat::PreemptCompletions, done.vector);
 
         // A strictly-higher-priority arrival beats the resumable
@@ -827,8 +806,7 @@ Kernel::setTimer(ThreadId id, Cycles cycles, KbTimerMode mode)
     }
     if (t.timerDuePosted) {
         t.timerDuePosted = false;
-        if (ledger_ != nullptr)
-            ledger_->onAbandoned(kbKey(id, t.timerVector));
+        book(Booking::Abandoned, Channel::KbTimer, id, t.timerVector);
     }
     // Programming while descheduled updates the saved image.
     t.timerSave.armed = true;
@@ -856,8 +834,8 @@ Kernel::clearTimer(ThreadId id)
         t.timerSave.armed = false;
         if (t.timerDuePosted) {
             t.timerDuePosted = false;
-            if (ledger_ != nullptr)
-                ledger_->onAbandoned(kbKey(id, t.timerVector));
+            book(Booking::Abandoned, Channel::KbTimer, id,
+                 t.timerVector);
         }
     }
 }
@@ -894,9 +872,9 @@ Kernel::pollKbTimer(CoreId core_id, Cycles now)
     // First observation of this expiry: account the post once.
     if (!core.timerDue) {
         core.timerDue = true;
-        if (ledger_ != nullptr && core.running != kNoThread)
-            ledger_->onPosted(
-                kbKey(core.running, core.timer.vector()));
+        if (core.running != kNoThread)
+            book(Booking::Posted, Channel::KbTimer, core.running,
+                 core.timer.vector());
     }
 
     if (fault_ != nullptr) {
@@ -945,19 +923,10 @@ Kernel::deliverKbTimerFired(CoreId core_id)
 {
     Core &core = cores_[core_id];
     note(KernelStat::KbTimerFired);
-    ThreadId running = core.running;
-    if (running != kNoThread) {
-        Thread &t = thread(running);
-        unsigned v = core.timer.vector();
-        std::uint64_t key = core.timerDue ? kbKey(running, v)
-                                          : kNoLedgerKey;
-        if (!deliverViaEngine(running, v, key)) {
-            if (t.handler)
-                t.handler(v);
-            if (ledger_ != nullptr && core.timerDue)
-                ledger_->onDelivered(kbKey(running, v));
-        }
-    }
+    // Only an observed (posted) expiry is booked.
+    if (core.running != kNoThread)
+        deliver(Channel::KbTimer, core.running, core.timer.vector(),
+                core.timerDue);
     if (core.timerMisfired)
         note(KernelStat::RecoveryKbTimerLate, core.timer.vector());
     core.timerDue = false;
@@ -968,9 +937,9 @@ void
 Kernel::abandonTimerDue(CoreId core_id)
 {
     Core &core = cores_[core_id];
-    if (ledger_ != nullptr && core.running != kNoThread)
-        ledger_->onAbandoned(
-            kbKey(core.running, core.timer.vector()));
+    if (core.running != kNoThread)
+        book(Booking::Abandoned, Channel::KbTimer, core.running,
+             core.timer.vector());
     core.timerDue = false;
     core.timerMisfired = false;
 }
@@ -983,10 +952,6 @@ Kernel::registerForwarding(ThreadId id, CoreId core_id)
     if (core.nextFwdVector == 0)
         return -1;  // 256-vector space exhausted (§4.5 limitation)
     unsigned vector = core.nextFwdVector++;
-    if (vector >= 256) {
-        core.nextFwdVector = 255;
-        return -1;
-    }
 
     Thread &t = thread(id);
     core.fwd.enableVector(vector);
@@ -1009,8 +974,7 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
         ThreadId running = core.running;
         assert(running != kNoThread);
         Thread &t = thread(running);
-        if (ledger_ != nullptr)
-            ledger_->onPosted(fwdKey(running, v));
+        book(Booking::Posted, Channel::Forward, running, v);
         if (fault_ != nullptr) {
             auto d = fault_->decide(fault::Site::ForwardDispatch);
             if (d.action == fault::Action::Drop) {
@@ -1032,12 +996,7 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
                 return DeliveryPath::Deferred;
             }
         }
-        if (!deliverViaEngine(running, v, fwdKey(running, v))) {
-            if (t.handler)
-                t.handler(v);
-            if (ledger_ != nullptr)
-                ledger_->onDelivered(fwdKey(running, v));
-        }
+        deliver(Channel::Forward, running, v);
         note(KernelStat::ForwardFast);
         return DeliveryPath::Fast;
       }
@@ -1051,15 +1010,12 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
             const DeliveryPolicy *p = policyFor(ot, v);
             if (p != nullptr &&
                 p->behavior == DeliveryBehavior::NextOnly) {
-                if (ledger_ != nullptr) {
-                    ledger_->onPosted(fwdKey(owner, v));
-                    ledger_->onAbandonedOne(fwdKey(owner, v));
-                }
+                book(Booking::Posted, Channel::Forward, owner, v);
+                book(Booking::AbandonedOne, Channel::Forward, owner, v);
                 note(KernelStat::ModerationMissed, v);
                 return DeliveryPath::Suppressed;
             }
-            if (ledger_ != nullptr)
-                ledger_->onPosted(fwdKey(owner, v));
+            book(Booking::Posted, Channel::Forward, owner, v);
             ot.dupid.post(v);
         }
         note(KernelStat::ForwardSlow);
@@ -1077,14 +1033,7 @@ Kernel::delayedForwardDeliver(CoreId core_id, unsigned vector,
 {
     Core &core = cores_[core_id];
     if (core.running == posted_to) {
-        Thread &t = thread(posted_to);
-        if (!deliverViaEngine(posted_to, vector,
-                              fwdKey(posted_to, vector))) {
-            if (t.handler)
-                t.handler(vector);
-            if (ledger_ != nullptr)
-                ledger_->onDelivered(fwdKey(posted_to, vector));
-        }
+        deliver(Channel::Forward, posted_to, vector);
         note(KernelStat::RecoveryForwardDelayed, vector);
         return;
     }
@@ -1119,16 +1068,9 @@ Kernel::setInterval(ThreadId id, Cycles interval, unsigned signo)
     timer.event = std::make_unique<PeriodicEvent>(
         sim_.queue(), interval, [this, id, signo] {
             Thread &t = thread(id);
-            if (ledger_ != nullptr)
-                ledger_->onPosted(sigKey(id, signo));
+            book(Booking::Posted, Channel::Signal, id, signo);
             if (t.running) {
-                if (!deliverViaEngine(id, signo,
-                                      sigKey(id, signo))) {
-                    if (t.handler)
-                        t.handler(signo);
-                    if (ledger_ != nullptr)
-                        ledger_->onDelivered(sigKey(id, signo));
-                }
+                deliver(Channel::Signal, id, signo);
                 ++signalsDelivered_;
                 note(KernelStat::SignalsDelivered);
             } else {

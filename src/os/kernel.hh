@@ -246,10 +246,6 @@ class Kernel
     void setDeliveryPolicy(ThreadId thread, unsigned vector,
                            DeliveryPolicy policy);
 
-    /** The policy for a (thread, vector); default if unset. */
-    DeliveryPolicy deliveryPolicy(ThreadId thread,
-                                  unsigned vector) const;
-
     /**
      * Configure ITR-style moderation for one (thread, vector):
      * posts land in the PIR immediately, but the notification is
@@ -469,16 +465,24 @@ class Kernel
         Running,
     };
 
-    /** Frame key sentinel: delivery not ledger-accounted. */
-    static constexpr std::uint64_t kNoLedgerKey = ~std::uint64_t(0);
+    /** One ledger event: DeliveryLedger's five calls. */
+    enum class Booking : std::uint8_t
+    {
+        Posted,
+        Delivered,
+        Abandoned,
+        AbandonedOne,
+        SpuriousScan,
+    };
 
     /** One in-flight (running or preempted) handler frame. */
     struct EngFrame
     {
         unsigned vector = 0;
         unsigned prio = 0;
-        /** Ledger key completed on frame completion. */
-        std::uint64_t key = kNoLedgerKey;
+        /** Channel booked on frame completion, when `booked`. */
+        fault::Channel channel = fault::Channel::Uipi;
+        bool booked = false;
         /** Cycles still owed when preempted. */
         Cycles remaining = 0;
     };
@@ -489,7 +493,8 @@ class Kernel
         unsigned vector = 0;
         unsigned prio = 0;
         Cycles cost = 0;
-        std::uint64_t key = kNoLedgerKey;
+        fault::Channel channel = fault::Channel::Uipi;
+        bool booked = false;
         /** Arrival order; ties within a priority resolve FIFO. */
         std::uint64_t seq = 0;
         /** Replayed continuation: skip the handler invocation. */
@@ -573,17 +578,35 @@ class Kernel
     /** A scheduled moderation-window flush fires. */
     void moderationFlush(ThreadId id, unsigned vector);
 
+    /**
+     * The delivery funnel: every delivery of a posted vector runs
+     * here. The occupancy engine takes the vector when the thread
+     * declared a handler cost for it, and books the delivery when
+     * the frame completes; otherwise the handler runs now and the
+     * delivery is booked under (channel, thread, vector). With
+     * `booked` false the handler runs and nothing is booked (a KB
+     * fire whose expiry was never observed, so never posted).
+     */
+    void deliver(fault::Channel ch, ThreadId id, unsigned vector,
+                 bool booked = true);
+    /**
+     * Book one ledger event under the (channel, thread, vector) key;
+     * SpuriousScan has no key. Nothing without a ledger attached:
+     * the only place the kernel reads ledger_.
+     */
+    void book(Booking what, fault::Channel ch = fault::Channel::Uipi,
+              ThreadId id = kNoThread, unsigned vector = kNoVector);
+
     // ----- occupancy engine (priority preemption) --------------------
 
     /**
      * Route one delivery through the occupancy engine. @return false
      * (and touch nothing) when the engine is off for this vector —
-     * callers fall through to the legacy immediate delivery. `key`
-     * is the ledger key completed when the frame finishes
-     * (kNoLedgerKey = no accounting).
+     * deliver() falls through to the immediate delivery. When
+     * `booked`, the frame books (ch, id, vector) on completion.
      */
     bool deliverViaEngine(ThreadId id, unsigned vector,
-                          std::uint64_t key);
+                          fault::Channel ch, bool booked);
     /** The vector's priority (policy, or 0 when unset). */
     unsigned enginePriority(const Thread &t, unsigned vector) const;
     /** Insert into engDeferred keeping (prio desc, seq asc). */

@@ -276,8 +276,8 @@ TEST_F(KernelFixture, VectorSpaceLimitation)
     int count = 0;
     while (kernel.registerForwarding(t, 0) >= 0)
         ++count;
-    EXPECT_GT(count, 100);
-    EXPECT_LE(count, 192);  // vectors 64..255
+    EXPECT_EQ(count, 192);  // vectors 64..255
+    EXPECT_EQ(kernel.registerForwarding(t, 0), -1);  // stays exhausted
 }
 
 // ----------------------------------------------------------------------
