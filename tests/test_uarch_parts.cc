@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -316,6 +317,7 @@ TEST(Cache, LazyTagStoreMatchesDenseModel)
         {"l1", 32 << 10, 8, 6, 16},
         {"l2", 2 << 20, 16, 4, 6},
         {"llc", 32 << 20, 16, 3, 2},
+        {"64-way", 256 << 10, 64, 4, 8},
     };
     constexpr unsigned kHit = 5, kMiss = 90, kOps = 20000;
     for (const CacheShape &shape : kShapes) {
@@ -388,6 +390,76 @@ TEST(Cache, LazyChainMatchesDenseChain)
         EXPECT_TRUE(payloadOf(l1) == d1.save());
         EXPECT_TRUE(payloadOf(l2) == d2.save());
     }
+}
+
+/**
+ * Victim choice, way by way, in one four-way set: a miss fills the
+ * highest-numbered invalid way; an invalid way keeps its tag and
+ * stamp, and a stale copy of the accessed tag there is not a hit;
+ * with every way valid the least recently used way goes.
+ */
+TEST(Cache, VictimIsHighestInvalidWayElseLru)
+{
+    constexpr unsigned kHit = 5, kMiss = 90;
+    Cache c(4 * 64, 4, 64, kHit, nullptr, kMiss);
+    struct Way
+    {
+        bool valid;
+        std::uint64_t tag;
+        std::uint64_t stamp;
+    };
+    auto payload = [](std::initializer_list<Way> ways, std::uint64_t stamp,
+                      std::uint64_t hits, std::uint64_t misses) {
+        ckpt::Writer w;
+        w.expect(std::uint64_t{ways.size()});
+        for (const Way &way : ways) {
+            w.b(way.valid);
+            w.u64(way.tag);
+            w.u64(way.stamp);
+        }
+        w.u64(stamp);
+        w.u64(hits);
+        w.u64(misses);
+        return w.take();
+    };
+    // One set, so the line number is the tag.
+    auto at = [](std::uint64_t tag) { return tag << 6; };
+
+    for (std::uint64_t tag : {10, 11, 12, 13})
+        EXPECT_EQ(c.access(at(tag)), kHit + kMiss);
+    EXPECT_TRUE(payloadOf(c) == payload({{true, 13, 4}, {true, 12, 3},
+                                         {true, 11, 2}, {true, 10, 1}},
+                                        4, 0, 4));
+
+    EXPECT_EQ(c.access(at(11)), kHit);
+    EXPECT_EQ(c.access(at(14)), kHit + kMiss); // evicts 10, way 3
+    EXPECT_TRUE(payloadOf(c) == payload({{true, 13, 4}, {true, 12, 3},
+                                         {true, 11, 5}, {true, 14, 6}},
+                                        6, 1, 5));
+
+    c.invalidate(at(13));
+    c.invalidate(at(11));
+    EXPECT_FALSE(c.contains(at(13)));
+    EXPECT_EQ(c.access(at(13)), kHit + kMiss); // way 2, not stale way 0
+    EXPECT_TRUE(payloadOf(c) == payload({{false, 13, 4}, {true, 12, 3},
+                                         {true, 13, 7}, {true, 14, 6}},
+                                        7, 1, 6));
+    EXPECT_EQ(c.access(at(15)), kHit + kMiss); // way 0 over LRU way 1
+    EXPECT_TRUE(payloadOf(c) == payload({{true, 15, 8}, {true, 12, 3},
+                                         {true, 13, 7}, {true, 14, 6}},
+                                        8, 1, 7));
+
+    c.flushAll();
+    EXPECT_FALSE(c.contains(at(12)));
+    EXPECT_TRUE(payloadOf(c) == payload({{false, 15, 8}, {false, 12, 3},
+                                         {false, 13, 7}, {false, 14, 6}},
+                                        8, 1, 7));
+    EXPECT_EQ(c.access(at(12)), kHit + kMiss); // way 3, not stale way 1
+    EXPECT_EQ(c.access(at(16)), kHit + kMiss); // way 2
+    EXPECT_EQ(c.access(at(12)), kHit);
+    EXPECT_TRUE(payloadOf(c) == payload({{false, 15, 8}, {false, 12, 3},
+                                         {true, 16, 10}, {true, 12, 11}},
+                                        11, 2, 9));
 }
 
 // ----------------------------------------------------------------------
