@@ -1,5 +1,6 @@
 #include "uarch/cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -17,7 +18,11 @@ Cache::Cache(std::uint64_t size_bytes, unsigned assoc,
       hitLatency_(hit_latency),
       missLatency_(miss_latency),
       next_(next),
-      lines_(std::make_unique_for_overwrite<Line[]>(numSets_ * assoc)),
+      tags_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          numSets_ * assoc)),
+      stamps_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          numSets_ * assoc)),
+      valid_(std::make_unique_for_overwrite<std::uint64_t[]>(numSets_)),
       live_(std::make_unique<std::uint64_t[]>((numSets_ + 63) / 64)),
       stamp_(0),
       hits_(0),
@@ -26,6 +31,7 @@ Cache::Cache(std::uint64_t size_bytes, unsigned assoc,
     assert(std::has_single_bit(static_cast<std::uint64_t>(line_bytes)));
     assert(std::has_single_bit(numSets_));
     assert(numSets_ >= 1);
+    assert(assoc >= 1 && assoc <= 64);
 }
 
 std::uint64_t
@@ -40,72 +46,82 @@ Cache::tagOf(std::uint64_t addr) const
     return addr >> lineShift_;
 }
 
+std::uint64_t
+Cache::hitMask(std::uint64_t set, std::uint64_t tag) const
+{
+    const std::uint64_t *tags = &tags_[set * assoc_];
+    std::uint64_t match = 0;
+    for (unsigned w = 0; w < assoc_; ++w)
+        match |= std::uint64_t{tags[w] == tag} << w;
+    return match & valid_[set];
+}
+
 unsigned
 Cache::access(std::uint64_t addr)
 {
-    std::uint64_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    Line *base = touchSet(set);
+    const std::uint64_t set = setIndex(addr);
+    const std::uint64_t tag = tagOf(addr);
+    touchSet(set);
+    const std::uint64_t first = set * assoc_;
 
-    Line *victim = base;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = ++stamp_;
+    // Compare only valid ways, lowest first, and stop at the hit:
+    // fast-forward memory ops mostly hit, and comparing every way
+    // (hitMask) made them ~30% slower.
+    for (std::uint64_t m = valid_[set]; m != 0; m &= m - 1) {
+        const unsigned w = static_cast<unsigned>(std::countr_zero(m));
+        if (tags_[first + w] == tag) {
+            stamps_[first + w] = ++stamp_;
             ++hits_;
             return hitLatency_;
         }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid &&
-                   line.lruStamp < victim->lruStamp) {
-            victim = &line;
+    }
+
+    // Victim: the highest-numbered invalid way, else the lowest-
+    // numbered way with the smallest stamp.
+    const std::uint64_t all = ~std::uint64_t{0} >> (64 - assoc_);
+    const std::uint64_t invalid = ~valid_[set] & all;
+    unsigned victim = 0;
+    if (invalid != 0) {
+        victim = 63 - static_cast<unsigned>(std::countl_zero(invalid));
+    } else {
+        const std::uint64_t *stamps = &stamps_[first];
+        for (unsigned w = 1; w < assoc_; ++w) {
+            if (stamps[w] < stamps[victim])
+                victim = w;
         }
     }
 
     ++misses_;
     unsigned below = next_ ? next_->access(addr) : missLatency_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lruStamp = ++stamp_;
+    valid_[set] |= std::uint64_t{1} << victim;
+    tags_[first + victim] = tag;
+    stamps_[first + victim] = ++stamp_;
     return hitLatency_ + below;
 }
 
 bool
 Cache::contains(std::uint64_t addr) const
 {
-    std::uint64_t set = setIndex(addr);
-    if (!isLive(set))
-        return false;
-    std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines_[set * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
+    const std::uint64_t set = setIndex(addr);
+    return isLive(set) && hitMask(set, tagOf(addr)) != 0;
 }
 
 void
 Cache::invalidate(std::uint64_t addr)
 {
-    std::uint64_t set = setIndex(addr);
+    const std::uint64_t set = setIndex(addr);
     if (!isLive(set))
         return;
-    std::uint64_t tag = tagOf(addr);
-    Line *base = &lines_[set * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            base[w].valid = false;
-    }
+    valid_[set] &= ~hitMask(set, tagOf(addr));
 }
 
 void
 Cache::zeroSet(std::uint64_t set)
 {
-    Line *base = &lines_[set * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w)
-        base[w] = Line{};
+    const std::uint64_t first = set * assoc_;
+    std::fill_n(&tags_[first], assoc_, 0);
+    std::fill_n(&stamps_[first], assoc_, 0);
+    valid_[set] = 0;
     live_[set >> 6] |= std::uint64_t{1} << (set & 63);
 }
 
@@ -113,15 +129,13 @@ void
 Cache::flushAll()
 {
     // Live sets stay live: their tags and LRU stamps survive a flush
-    // (only valid drops), and the checkpoint encodes them.
+    // (only the valid mask clears), and the checkpoint encodes them.
     const std::uint64_t words = (numSets_ + 63) / 64;
     for (std::uint64_t i = 0; i < words; ++i) {
         for (std::uint64_t bits = live_[i]; bits != 0; bits &= bits - 1) {
             const std::uint64_t set =
                 i * 64 + static_cast<unsigned>(std::countr_zero(bits));
-            Line *base = &lines_[set * assoc_];
-            for (unsigned w = 0; w < assoc_; ++w)
-                base[w].valid = false;
+            valid_[set] = 0;
         }
     }
 }

@@ -7,12 +7,15 @@
  * level that hits, and allocates the line on the way back (write-
  * allocate, writeback is not modeled since only timing matters).
  *
- * The tag store is initialised lazily: lines are allocated
- * uninitialised and a per-set live bit records which sets have been
- * zeroed. A set is zeroed on its first access, and a set that is not
- * live reads as empty. Construction and checkpointing therefore cost
- * the sets a run touched, not the modelled capacity (a Table-3 LLC
- * has 32768 sets; a short run touches a few hundred).
+ * The tag store is three arrays: tags and LRU stamps, one per line
+ * and contiguous per set, and one valid mask per set (bit w is way
+ * w), so a line costs 16 bytes and a hit scans packed tags. It is
+ * initialised lazily: tags and stamps are allocated uninitialised and
+ * a per-set live bit records which sets have been zeroed. A set is
+ * zeroed on its first access, and a set that is not live reads as
+ * empty. Construction and checkpointing therefore cost the sets a run
+ * touched, not the modelled capacity (a Table-3 LLC has 32768 sets; a
+ * short run touches a few hundred).
  */
 
 #ifndef XUI_UARCH_CACHE_HH
@@ -76,12 +79,17 @@ class Cache
         for (std::uint64_t set = 0; set < numSets_; ++set) {
             if (ar.zeroRun(!isLive(set), assoc_ * kLineCkptBytes))
                 continue;
-            Line *base = touchSet(set);
+            touchSet(set);
+            const std::uint64_t first = set * assoc_;
+            std::uint64_t mask = 0;
             for (unsigned w = 0; w < assoc_; ++w) {
-                ar.b(base[w].valid);
-                ar.u64(base[w].tag);
-                ar.u64(base[w].lruStamp);
+                bool valid = (valid_[set] >> w) & 1;
+                ar.b(valid);
+                mask |= std::uint64_t{valid} << w;
+                ar.u64(tags_[first + w]);
+                ar.u64(stamps_[first + w]);
             }
+            valid_[set] = mask;
         }
         ar.u64(stamp_);
         ar.u64(hits_);
@@ -89,16 +97,7 @@ class Cache
     }
 
   private:
-    /** No default member initialisers: the store is allocated
-     *  uninitialised and zeroed one set at a time (touchSet). */
-    struct Line
-    {
-        bool valid;
-        std::uint64_t tag;
-        std::uint64_t lruStamp;
-    };
-
-    /** Encoded size of one Line: valid byte, tag, LRU stamp. */
+    /** Encoded size of one line: valid byte, tag, LRU stamp. */
     static constexpr std::size_t kLineCkptBytes = 1 + 8 + 8;
 
     std::uint64_t setIndex(std::uint64_t addr) const;
@@ -109,13 +108,15 @@ class Cache
         return (live_[set >> 6] >> (set & 63)) & 1;
     }
 
-    /** The set's lines, zeroed and marked live on first touch. */
-    Line *touchSet(std::uint64_t set)
+    /** Zero the set and mark it live on first touch. */
+    void touchSet(std::uint64_t set)
     {
         if (!isLive(set)) [[unlikely]]
             zeroSet(set);
-        return &lines_[set * assoc_];
     }
+
+    /** Ways of a live set whose line is valid and holds `tag`. */
+    std::uint64_t hitMask(std::uint64_t set, std::uint64_t tag) const;
 
     /** First touch, kept out of line so its loop does not bloat
      *  access's hit path. */
@@ -127,8 +128,10 @@ class Cache
     unsigned hitLatency_;
     unsigned missLatency_;
     Cache *next_;
-    std::unique_ptr<Line[]> lines_;
-    std::unique_ptr<std::uint64_t[]> live_; ///< one bit per set
+    std::unique_ptr<std::uint64_t[]> tags_;   ///< numSets x assoc
+    std::unique_ptr<std::uint64_t[]> stamps_; ///< numSets x assoc
+    std::unique_ptr<std::uint64_t[]> valid_;  ///< one mask per set
+    std::unique_ptr<std::uint64_t[]> live_;   ///< one bit per set
     std::uint64_t stamp_;
     std::uint64_t hits_;
     std::uint64_t misses_;

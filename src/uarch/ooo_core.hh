@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "ckpt/codec.hh"
@@ -197,8 +198,16 @@ class FixedRing
         return e;
     }
 
-    /** Append a default-valued element; returns it for filling. */
-    T &emplace_back() { return push_back(T{}); }
+    /** Append a value-initialised element, built in its slot;
+     *  returns it for filling. */
+    T &
+    emplace_back()
+    {
+        assert(size_ < buf_.size());
+        T *e = &buf_[slot(size_++)];
+        std::destroy_at(e);
+        return *std::construct_at(e);
+    }
 
     void
     pop_front()

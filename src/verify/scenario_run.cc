@@ -25,9 +25,13 @@ ScenarioRun::ScenarioRun(const ScenarioConfig &cfg,
     params.ffWarmup = cfg.ffWarmup;
 
     digest_.collectCommitPcs(&commitPcs_);
-    tee_.attach(&digest_);
-    tee_.attach(extraTracer);
-    sys_.setTracer(&tee_);
+    if (extraTracer) {
+        tee_.attach(&digest_);
+        tee_.attach(extraTracer);
+        sys_.setTracer(&tee_);
+    } else {
+        sys_.setTracer(&digest_);
+    }
     sys_.setIntrObserver(observer);
 
     core_ = &sys_.addCore(params, &prog_);

@@ -89,7 +89,7 @@ class ScenarioRun
     UarchSystem sys_;
     DigestTracer digest_;
     std::vector<std::uint32_t> commitPcs_;
-    TeeTracer tee_;
+    TeeTracer tee_; ///< digest_ + extraTracer; unused without one
     OooCore *core_;
 
     /** 0 = run-to-commit-target, 1 = extra cycles, 2 = finished. */

@@ -159,8 +159,9 @@ TEST(Moderator, MatchesReferenceModelOnRandomStreams)
                 << now;
             if (got == VectorModerator::Verdict::Deliver)
                 ++immediate;
-            if (got == VectorModerator::Verdict::OpenWindow)
+            if (got == VectorModerator::Verdict::OpenWindow) {
                 EXPECT_EQ(mod.flushAt(), ref.windowEnd);
+            }
         }
         // Conservation: the moderator never loses a post.
         std::uint64_t pending =
@@ -169,9 +170,10 @@ TEST(Moderator, MatchesReferenceModelOnRandomStreams)
                   immediate + flushed + cancelled + pending)
             << "trial " << trial;
         EXPECT_EQ(mod.posts(), posts);
-        if (!mp.enabled())
+        if (!mp.enabled()) {
             EXPECT_EQ(posts, immediate)
                 << "disabled moderation must pass every post";
+        }
     }
 }
 
@@ -457,10 +459,11 @@ TEST(Coalescing, RandomInterleavingsNeverSilentlyLosePosts)
             << "seed " << seed;
         EXPECT_GT(run.handlerRuns, 0u) << "seed " << seed;
 
-        if (!run.nextOnly)
+        if (!run.nextOnly) {
             EXPECT_EQ(run.ledger.abandoned(), 0u)
                 << "seed " << seed
                 << ": only NEXT_ONLY may abandon posts";
+        }
         sawCoalesced += run.ledger.coalescedSatisfied();
         sawMissed += counterValue(run.metrics,
                                   "kernel.moderation.missed");

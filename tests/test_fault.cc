@@ -1156,10 +1156,12 @@ TEST(Chaos, ModerationScenariosSurviveFlushFaults)
             delayed += r.modFlushDelayed;
             coalesced += r.modCoalesced + r.coalescedSatisfied;
         }
-        if (cs.drop)
+        if (cs.drop) {
             EXPECT_GT(dropped, 0u) << chaos::scenarioName(cs.kind);
-        if (cs.delay)
+        }
+        if (cs.delay) {
             EXPECT_GT(delayed, 0u) << chaos::scenarioName(cs.kind);
+        }
         EXPECT_GT(coalesced, 0u) << chaos::scenarioName(cs.kind);
     }
 }

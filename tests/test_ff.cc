@@ -98,15 +98,17 @@ TEST(FastForward, SpanAccountingTelescopes)
         Cycles end =
             span.exitedAt != 0 ? span.exitedAt : core.now();
         EXPECT_GE(end, span.enteredAt) << "span " << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(span.enteredAt, s.ffSpans[i - 1].exitedAt)
                 << "span " << i << " overlaps predecessor";
+        }
         insts += span.insts;
         ff_cycles += end - span.enteredAt;
     }
     // The still-open span (if any) has not rolled its insts up yet.
-    if (s.ffExits == s.ffEntries)
+    if (s.ffExits == s.ffEntries) {
         EXPECT_EQ(insts, s.ffInsts);
+    }
     EXPECT_EQ(ff_cycles, s.ffCycles);
 }
 
