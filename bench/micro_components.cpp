@@ -46,7 +46,7 @@ BM_LpmLookup(benchmark::State &state)
 }
 BENCHMARK(BM_LpmLookup)->Arg(1000)->Arg(16000);
 
-// One Fig. 8 table build: the 48 MiB DIR-24-8 table plus 16,000
+// One Fig. 8 table build: the 32 MiB DIR-24-8 table plus 16,000
 // random routes at a fixed seed, as each L3Fwd constructor pays it.
 static void
 BM_LpmBuild(benchmark::State &state)

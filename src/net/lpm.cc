@@ -1,16 +1,53 @@
 #include "net/lpm.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace xui
 {
 
+namespace
+{
+
+// Entry encoding, shared by tbl24 and tbl8: bit 15 valid; bit 14
+// extended (tbl24 only), the low 14 bits then index a tbl8 group;
+// otherwise bits 13..8 hold the depth that wrote the entry and bits
+// 7..0 the next hop. An invalid entry is 0.
+constexpr std::uint16_t kValid = 0x8000;
+constexpr std::uint16_t kExtended = 0x4000;
+constexpr std::uint16_t kGroupMask = 0x3fff;
+constexpr std::uint16_t kHopMask = 0xff;
+constexpr unsigned kMaxTbl8Groups = kGroupMask + 1;
+
+// Slots a shallow route paints per step. Spans this wide or wider
+// are aligned to it.
+constexpr std::uint32_t kBlock = 16;
+
+/**
+ * Whether a route writing `fresh` takes an entry holding `cur`:
+ * `cur` is invalid or no deeper than the route. An extended slot
+ * (>= 0xc000) is above every limit.
+ */
+bool
+takes(std::uint16_t fresh, std::uint16_t cur)
+{
+    return cur <= (fresh | kHopMask);
+}
+
+/** Paint one aligned block of non-extended tbl24 slots. */
+void
+paintBlock(std::uint16_t *entry, std::uint16_t fresh)
+{
+    for (std::uint32_t k = 0; k < kBlock; ++k)
+        entry[k] = takes(fresh, entry[k]) ? fresh : entry[k];
+}
+
+} // namespace
+
 LpmTable::LpmTable(unsigned max_tbl8_groups)
     : tbl24_(1u << 24, 0),
-      tbl24Depth_(1u << 24, 0),
-      tbl8_(static_cast<std::size_t>(max_tbl8_groups) * 256),
-      maxTbl8_(max_tbl8_groups),
+      tbl8_(static_cast<std::size_t>(
+                std::min(max_tbl8_groups, kMaxTbl8Groups)) *
+            256),
       tbl8Next_(0),
       routeCount_(0)
 {}
@@ -19,156 +56,105 @@ bool
 LpmTable::addRoute(std::uint32_t prefix, unsigned depth,
                    NextHop next_hop)
 {
-    if (depth < 1 || depth > 32 || next_hop > kValueMask)
+    if (depth < 1 || depth > 32 || next_hop > kHopMask)
         return false;
     // Mask host bits so callers can pass any address in the prefix.
     std::uint32_t mask =
         depth == 32 ? 0xffffffffu : ~(0xffffffffu >> depth);
     prefix &= mask;
 
-    bool ok = depth <= 24 ? addShallowRoute(prefix, depth, next_hop)
-                          : addDeepRoute(prefix, depth, next_hop);
-    if (ok)
-        ++routeCount_;
-    return ok;
+    const auto fresh =
+        static_cast<std::uint16_t>(kValid | depth << 8 | next_hop);
+    if (depth <= 24)
+        addShallowRoute(prefix, depth, fresh);
+    else if (!addDeepRoute(prefix, depth, fresh))
+        return false;
+    ++routeCount_;
+    return true;
 }
 
-namespace
-{
-
-// Slots a shallow route paints per step. Spans this wide or wider
-// are aligned to it.
-constexpr std::uint32_t kBlock = 16;
-
-/**
- * Paint one aligned block of non-extended tbl24 slots: a slot takes
- * the route when its depth is at most `depth`. Written as selects
- * over non-aliasing pointers so the compiler can vectorize it.
- */
 void
-paintBlock(std::uint16_t *__restrict entry,
-           std::uint8_t *__restrict depth_of, std::uint16_t fresh,
-           std::uint8_t depth)
-{
-    for (std::uint32_t k = 0; k < kBlock; ++k) {
-        const bool w = depth_of[k] <= depth;
-        entry[k] = w ? fresh : entry[k];
-        depth_of[k] = w ? depth : depth_of[k];
-    }
-}
-
-} // namespace
-
-bool
 LpmTable::addShallowRoute(std::uint32_t prefix, unsigned depth,
-                          NextHop next_hop)
+                          std::uint16_t fresh)
 {
     const std::uint32_t start = prefix >> 8;
     const std::uint32_t end = start + (1u << (24 - depth));
-    const std::uint16_t fresh = static_cast<std::uint16_t>(
-        kValid | (next_hop & kValueMask));
-    const auto d = static_cast<std::uint8_t>(depth);
 
     if (end - start < kBlock) {
         for (std::uint32_t i = start; i < end; ++i)
-            paintSlot(i, fresh, d);
-        return true;
+            paintSlot(i, fresh);
+        return;
     }
     // Spans of kBlock or more are kBlock-aligned. A block holding an
     // extended slot takes the per-slot path, which propagates into
     // that slot's tbl8 group.
     for (std::uint32_t b = start; b < end; b += kBlock) {
-        const std::uint8_t *depth_of = &tbl24Depth_[b];
-        std::uint8_t deepest = 0;
+        std::uint16_t *block = &tbl24_[b];
+        std::uint16_t any = 0;
         for (std::uint32_t k = 0; k < kBlock; ++k)
-            deepest = std::max(deepest, depth_of[k]);
-        if (deepest == kExtendedDepth) {
+            any |= block[k];
+        if (any & kExtended) {
             for (std::uint32_t i = b; i < b + kBlock; ++i)
-                paintSlot(i, fresh, d);
+                paintSlot(i, fresh);
         } else {
-            paintBlock(&tbl24_[b], &tbl24Depth_[b], fresh, d);
+            paintBlock(block, fresh);
         }
     }
-    return true;
 }
 
 void
-LpmTable::paintSlot(std::uint32_t i, std::uint16_t fresh,
-                    std::uint8_t depth)
+LpmTable::paintSlot(std::uint32_t i, std::uint16_t fresh)
 {
     const std::uint16_t cur = tbl24_[i];
     if (cur & kExtended) {
         // Propagate into the existing tbl8 group where this route is
         // the longest match.
-        paintTbl8(cur & kValueMask, 0, 256, fresh, depth);
-    } else if (tbl24Depth_[i] <= depth) {
-        // An invalid slot has depth 0, so this also claims it.
+        paintTbl8(cur & kGroupMask, 0, 256, fresh);
+    } else if (takes(fresh, cur)) {
         tbl24_[i] = fresh;
-        tbl24Depth_[i] = depth;
     }
 }
 
 void
 LpmTable::paintTbl8(std::uint32_t group, unsigned lo, unsigned hi,
-                    std::uint16_t fresh, std::uint8_t depth)
+                    std::uint16_t fresh)
 {
-    Tbl8Entry *g = &tbl8_[static_cast<std::size_t>(group) * 256];
-    for (unsigned j = lo; j < hi; ++j) {
-        if (!(g[j].entry & kValid) || g[j].depth <= depth) {
-            g[j].entry = fresh;
-            g[j].depth = depth;
-        }
-    }
+    std::uint16_t *g = &tbl8_[static_cast<std::size_t>(group) * 256];
+    for (unsigned j = lo; j < hi; ++j)
+        g[j] = takes(fresh, g[j]) ? fresh : g[j];
 }
 
 int
-LpmTable::allocateTbl8(std::uint16_t inherited_entry,
-                       std::uint8_t inherited_depth)
+LpmTable::allocateTbl8(std::uint16_t inherited)
 {
-    if (tbl8Next_ >= maxTbl8_)
+    if (tbl8Next_ == tbl8_.size() / 256)
         return -1;
     unsigned group = tbl8Next_++;
-    Tbl8Entry *g = &tbl8_[static_cast<std::size_t>(group) * 256];
-    for (unsigned j = 0; j < 256; ++j) {
-        g[j].entry = inherited_entry;
-        g[j].depth = inherited_depth;
-    }
+    std::fill_n(&tbl8_[static_cast<std::size_t>(group) * 256], 256,
+                inherited);
     return static_cast<int>(group);
 }
 
 bool
 LpmTable::addDeepRoute(std::uint32_t prefix, unsigned depth,
-                       NextHop next_hop)
+                       std::uint16_t fresh)
 {
-    std::uint32_t idx = prefix >> 8;
+    const std::uint32_t idx = prefix >> 8;
     std::uint16_t cur = tbl24_[idx];
-    std::uint32_t group;
 
-    if (cur & kExtended) {
-        group = cur & kValueMask;
-    } else {
-        // Expand: new group inherits the covering shallow route.
-        std::uint16_t inherited =
-            (cur & kValid)
-                ? static_cast<std::uint16_t>(kValid |
-                                             (cur & kValueMask))
-                : std::uint16_t{0};
-        int alloc = allocateTbl8(inherited, tbl24Depth_[idx]);
-        if (alloc < 0)
+    if (!(cur & kExtended)) {
+        // Expand: the new group inherits the covering shallow route,
+        // depth included.
+        int group = allocateTbl8(cur);
+        if (group < 0)
             return false;
-        group = static_cast<std::uint32_t>(alloc);
-        tbl24_[idx] = static_cast<std::uint16_t>(
-            kValid | kExtended | (group & kValueMask));
-        // Deeper than any shallow route: no later tbl24 paint takes
-        // this slot.
-        tbl24Depth_[idx] = kExtendedDepth;
+        cur = static_cast<std::uint16_t>(kValid | kExtended | group);
+        tbl24_[idx] = cur;
     }
 
     const unsigned low = prefix & 0xff;
-    paintTbl8(group, low, low + (1u << (32 - depth)),
-              static_cast<std::uint16_t>(kValid |
-                                         (next_hop & kValueMask)),
-              static_cast<std::uint8_t>(depth));
+    paintTbl8(cur & kGroupMask, low, low + (1u << (32 - depth)),
+              fresh);
     return true;
 }
 
@@ -176,17 +162,10 @@ LpmTable::NextHop
 LpmTable::lookup(std::uint32_t ip) const
 {
     std::uint16_t e = tbl24_[ip >> 8];
-    if (e & kExtended) {
-        const Tbl8Entry &t =
-            tbl8_[static_cast<std::size_t>(e & kValueMask) * 256 +
+    if (e & kExtended)
+        e = tbl8_[static_cast<std::size_t>(e & kGroupMask) * 256 +
                   (ip & 0xff)];
-        if (t.entry & kValid)
-            return t.entry & kValueMask;
-        return kNoRoute;
-    }
-    if (e & kValid)
-        return e & kValueMask;
-    return kNoRoute;
+    return (e & kValid) ? (e & kHopMask) : kNoRoute;
 }
 
 } // namespace xui
