@@ -111,6 +111,9 @@ calibrateFromCycleSim(bool quick)
         for (int i = 0; i < 900; ++i)
             sb.intMult(reg::kGpr0 + 1, reg::kGpr0 + 1);
         sb.loopBranch(top, 1u << 30);
+        // The loop branch's fall-through is fetched down the wrong
+        // path; without a trailing op it would run off the program.
+        sb.halt();
         KernelOptions hopts;
         Program sender_prog = sb.build();
         Program receiver_prog = makeSpinLoop(hopts);

@@ -2,24 +2,22 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Internally a three-level hierarchical calendar (timing wheel):
- * level 0 resolves single cycles over a 1024-cycle horizon, level 1
- * 1024-cycle blocks over ~1M cycles, level 2 ~1M-cycle blocks over
- * ~1G cycles, plus an unsorted overflow list beyond that. Events
- * live in a free-listed pool (reused in place, no per-event heap
- * allocation) and carry their callback in small-buffer storage;
- * bucket membership is an intrusive doubly-linked list so cancel is
- * O(1) and reclaims the slot immediately. Handles are
- * generation-checked: a reused slot invalidates stale ids, so
- * cancelling a fired or already-cancelled event returns false
- * instead of corrupting the pending count (which the old lazy
- * cancellation scheme got wrong).
+ * One binary min-heap of (when, seq) keys. Events live in a
+ * free-listed pool (reused in place, no per-event heap allocation)
+ * and carry their callback in small-buffer storage. A heap entry
+ * holds its key inline beside the pool slot and generation, so
+ * ordering never reads the pool. Handles are generation-checked:
+ * cancel frees the slot at once and bumps its generation, which
+ * turns the event's heap entry stale and makes a repeated cancel
+ * return false instead of corrupting the pending count. Stale
+ * entries are dropped when they reach the top, and compacted away
+ * once they outnumber live events by more than 64, so
+ * schedule/cancel churn bounds the heap as well as the pool.
  *
  * Events scheduled for the same cycle fire in scheduling order: a
  * monotonically increasing sequence number is assigned at schedule
- * time and the current cycle's bucket is drained in seq order,
- * which makes whole-system simulations reproducible regardless of
- * wheel internals.
+ * time and breaks every tie in the key, which makes whole-system
+ * simulations reproducible.
  */
 
 #ifndef XUI_DES_EVENT_QUEUE_HH
@@ -152,14 +150,10 @@ class SmallCallback
     const Ops *ops_ = nullptr;
 };
 
-/** Hierarchical calendar queue with stable same-cycle ordering. */
+/** Binary-heap event queue with stable same-cycle ordering. */
 class EventQueue
 {
   public:
-    /** Compatibility alias; any callable converts via the template
-     * overloads below without a std::function round-trip. */
-    using Callback = std::function<void()>;
-
     EventQueue();
     ~EventQueue();
 
@@ -191,8 +185,8 @@ class EventQueue
     }
 
     /**
-     * Cancel a previously scheduled event: O(1) unlink, slot
-     * reclaimed immediately.
+     * Cancel a previously scheduled event: the slot is reclaimed
+     * immediately and its heap entry left behind as stale.
      * @return true if the event was still pending (stale, fired,
      *         cancelled, and invalid handles all return false).
      */
@@ -221,10 +215,9 @@ class EventQueue
 
     /**
      * Exact fire time of the next pending event without firing it
-     * (kNoPending when the queue is empty). Non-const: maintains the
-     * overflow-min cache and prunes cancelled entries from the
-     * active same-cycle drain list, neither of which is observable
-     * through the firing order.
+     * (kNoPending when the queue is empty). Non-const: drops stale
+     * entries off the top of the heap, which the firing order cannot
+     * observe.
      */
     Cycles peekNextTime();
 
@@ -237,7 +230,7 @@ class EventQueue
 
     /**
      * Snapshot of pending events sorted by (when, seq), truncated to
-     * `max` entries (0 = all). O(pool) — diagnostics only (stuck
+     * `max` entries (0 = all). O(heap) — diagnostics only (stuck
      * chaos cell reports), never a hot path.
      */
     std::vector<PendingEvent> pendingSnapshot(std::size_t max = 0)
@@ -269,39 +262,38 @@ class EventQueue
      */
     std::size_t poolSize() const { return pool_.size(); }
 
+    /**
+     * Heap entries, live and stale. Cancel leaves its entry behind
+     * until it reaches the top or compaction runs, which keeps this
+     * within 2 * pending() + 64 after every cancel.
+     */
+    std::size_t heapSize() const { return heap_.size(); }
+
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr Cycles kNoEvent = ~Cycles(0);
-
-    static constexpr unsigned kBucketBits = 10;
-    static constexpr unsigned kBuckets = 1u << kBucketBits;
-    static constexpr unsigned kBucketMask = kBuckets - 1;
-    static constexpr unsigned kWords = kBuckets / 64;
-    /** Levels 0..2 are wheel levels; 3 is the overflow list. */
-    static constexpr unsigned kLevels = 3;
-    static constexpr std::uint8_t kOverflow = kLevels;
-    static constexpr std::uint8_t kUnlinked = 0xff;
 
     struct Event
     {
-        Cycles when = 0;
-        std::uint64_t seq = 0;
         SmallCallback cb;
         std::uint32_t gen = 1;
+        /** Free-list link. */
         std::uint32_t next = kNil;
-        std::uint32_t prev = kNil;
-        /** Wheel level (0..2), kOverflow, or kUnlinked (free /
-         * being fired). */
-        std::uint8_t level = kUnlinked;
-        std::uint16_t bucket = 0;
     };
 
-    /** Sorted drain list for the current cycle's bucket. */
-    struct ScratchRef
+    /** Heap key with the slot it orders; stale once the slot's
+     * generation moves on. */
+    struct Entry
     {
+        Cycles when;
         std::uint64_t seq;
-        std::uint32_t idx;
+        std::uint32_t slot;
         std::uint32_t gen;
+
+        friend bool
+        operator>(const Entry &a, const Entry &b)
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
     };
 
     static EventId
@@ -313,40 +305,20 @@ class EventQueue
     EventId scheduleImpl(Cycles when, SmallCallback cb);
     std::uint32_t allocEvent();
     void freeEvent(std::uint32_t idx);
-    /** Link into the wheel level/bucket for `when` given now_. */
-    void place(std::uint32_t idx);
-    void unlink(std::uint32_t idx);
-    /** Exact earliest pending fire time (kNoEvent when empty). */
-    Cycles nextEventTime();
-    /** Min `when` over a bucket chain (kNoEvent when empty). */
-    Cycles chainMin(std::uint32_t head) const;
-    /** Re-place entries of current L1/L2/overflow buckets after
-     * now_ advanced. */
-    void cascadeAt(Cycles t);
-    /** Build the sorted same-cycle drain list for now_. */
-    void buildScratch();
-    /** Resolve the next firing event; kNil when empty. Advances
-     * now_ to the fire time. */
-    std::uint32_t popNext();
+    bool stale(const Entry &x) const { return pool_[x.slot].gen != x.gen; }
+    /** Pop stale entries off the top; true when a live one remains. */
+    bool dropStaleTop();
 
     std::deque<Event> pool_;
     std::uint32_t freeHead_ = kNil;
-
-    std::uint32_t heads_[kLevels][kBuckets];
-    std::uint64_t bits_[kLevels][kWords];
-    std::uint32_t overflowHead_ = kNil;
-    Cycles overflowMin_ = kNoEvent;
-    bool overflowMinValid_ = true;
-
-    std::vector<ScratchRef> scratch_;
-    std::size_t scratchPos_ = 0;
-    Cycles scratchWhen_ = kNoEvent;
+    /** Min-heap under std::greater. */
+    std::vector<Entry> heap_;
 
     FireHook fireHook_;
-    Cycles now_;
-    std::uint64_t nextSeq_;
+    Cycles now_ = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
-    std::size_t live_;
+    std::size_t live_ = 0;
 };
 
 } // namespace xui

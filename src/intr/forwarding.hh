@@ -81,11 +81,6 @@ class ForwardingUnit
     /** Kernel-programmed: stop forwarding a vector. */
     void disableVector(unsigned vector) { enabled_.clear(vector); }
 
-    bool vectorEnabled(unsigned vector) const
-    {
-        return enabled_.test(vector);
-    }
-
     /**
      * Written by the kernel on context switch: the full set of
      * vectors owned by the thread now running on this core.
@@ -110,9 +105,6 @@ class ForwardingUnit
      * @return the vector, or 256 when none pending.
      */
     unsigned takeHighestUirr();
-
-    /** Clear a specific UIRR bit. */
-    void clearUirr(unsigned vector) { uirr_.clear(vector); }
 
     /** Checkpoint archive visit (ckpt/codec.hh): all three
      *  registers, raw. */

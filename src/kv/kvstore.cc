@@ -48,7 +48,6 @@ KvStore::execute(const KvRequest &req)
 KvLoadGen::KvLoadGen(const KvWorkloadParams &params, double rate_rps,
                      Rng rng)
     : params_(params),
-      rateRps_(rate_rps),
       arrivals_(rate_rps / static_cast<double>(kCyclesPerSec),
                 rng.split()),
       rng_(rng)

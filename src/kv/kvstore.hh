@@ -101,11 +101,8 @@ class KvLoadGen
     /** Generate the next request (arrival times increase). */
     KvRequest next();
 
-    double rateRps() const { return rateRps_; }
-
   private:
     KvWorkloadParams params_;
-    double rateRps_;
     PoissonProcess arrivals_;
     Rng rng_;
     std::uint64_t nextId_ = 1;

@@ -65,7 +65,6 @@ class Nic
     /** Arm/disarm RX interrupts (xUI handler protocol: disarm on
      * entry, drain, rearm before uiret). */
     void armInterrupt(bool armed) { intrArmed_ = armed; }
-    bool interruptArmed() const { return intrArmed_; }
 
     /** Callback invoked on an interrupt-worthy arrival. */
     void setInterruptHandler(std::function<void()> cb)

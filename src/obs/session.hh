@@ -49,7 +49,6 @@ class ObsSession
     ObsSession &operator=(const ObsSession &) = delete;
 
     bool metricsEnabled() const { return !metricsPath_.empty(); }
-    bool traceEnabled() const { return trace_ != nullptr; }
     bool enabled() const { return metrics_ != nullptr; }
 
     /**

@@ -352,9 +352,6 @@ class Kernel
 
     // ----- classic services ----------------------------------------------
 
-    /** Cost of delivering a POSIX signal to a running thread. */
-    Cycles signalDeliveryCost() const { return costs_.signalReceive; }
-
     /**
      * setitimer(): deliver a periodic signal to `thread` every
      * `interval` cycles. While the thread is descheduled, firings
@@ -404,7 +401,6 @@ class Kernel
      * unrecovered loss.
      */
     void setRecoveryEnabled(bool v) { recoveryEnabled_ = v; }
-    bool recoveryEnabled() const { return recoveryEnabled_; }
 
     /** Tune the rescan backoff (base doubles per attempt). */
     void setRecoveryParams(Cycles backoff_base,

@@ -57,7 +57,6 @@ TimerCoreModel::run(Cycles duration)
         busy_until = start + work;
         busyCycles_ += work;
         ++eventsFired_;
-        sent_ += numAppCores_;
         if (mFired_ != nullptr)
             mFired_->inc();
         if (mSent_ != nullptr)

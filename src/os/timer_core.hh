@@ -60,9 +60,6 @@ class TimerCoreModel
     /** Intervals that fired (an overloaded core fires fewer). */
     std::uint64_t eventsFired() const { return eventsFired_; }
 
-    /** senduipi notifications issued. */
-    std::uint64_t notificationsSent() const { return sent_; }
-
     /**
      * Achieved firing rate relative to the requested rate (1.0 when
      * the timer core keeps up).
@@ -92,7 +89,6 @@ class TimerCoreModel
     Cycles duration_ = 0;
     Cycles busyCycles_ = 0;
     std::uint64_t eventsFired_ = 0;
-    std::uint64_t sent_ = 0;
 
     /** Null until attachMetrics. */
     Counter *mFired_ = nullptr;

@@ -346,10 +346,6 @@ class OooCore
     /** Fast-forward (sampled-detail) functional loop is active. */
     bool fastForwarding() const { return ffMode_; }
 
-    /** The detail window is open through this cycle (diagnostic;
-     *  meaningful only with params().fastForward). */
-    Cycles detailUntil() const { return ffDetailUntil_; }
-
     /**
      * Fault hook consulted at every fast-forward mode transition:
      * once when the core is about to enter the functional loop
@@ -376,7 +372,6 @@ class OooCore
     Upid &upid() { return upid_; }
 
     /** The UINV vector discriminating UIPI notifications. */
-    void setUinv(std::uint8_t v) { uinv_ = v; }
     std::uint8_t uinv() const { return uinv_; }
 
     /** A conventional IPI arrives at this core's APIC at `when`. */
@@ -410,8 +405,6 @@ class OooCore
     {
         return frontendStallUntil_ > cycle_ || awaitRedirect_;
     }
-    /** Drain-strategy wait for an empty ROB is in progress. */
-    bool drainWaiting() const { return drainWaiting_; }
 
     const CoreStats &stats() const { return stats_; }
 
