@@ -1,8 +1,8 @@
 /**
  * @file
- * Byte codec for the snapshot engine: two archives, Writer and
- * Reader, with the same verbs, so a checkpointed component lists its
- * fields once in a single member template
+ * Byte codec for the snapshot engine: three archives, Writer, Reader
+ * and Sizer, with the same verbs, so a checkpointed component lists
+ * its fields once in a single member template
  *
  *     template <class Ar> void visit(Ar &ar)
  *     {
@@ -11,9 +11,11 @@
  *         ar.seq(records_, Record::kCkptBytes);
  *     }
  *
- * and the same code saves (Writer copies each field out) and loads
- * (Reader copies it back in). The visit order is the format; save and
- * load cannot drift apart because there is only one of them.
+ * and the same code saves (Writer copies each field out), loads
+ * (Reader copies it back in) and sizes (Sizer counts the bytes Writer
+ * would append, so a save can allocate its buffer once, at its exact
+ * size). The visit order is the format; save, load and size cannot
+ * drift apart because there is only one of them.
  *
  * Header-only and dependency-free on purpose: uarch/intr/verify
  * components include it without linking the snapshot file engine, so
@@ -125,6 +127,9 @@ class Writer
         return blank;
     }
 
+    /** Allocate room for `n` bytes in all, e.g. a Sizer's count. */
+    void reserve(std::size_t n) { out_.reserve(n); }
+
     const std::string &data() const { return out_; }
     std::string take() { return std::move(out_); }
     std::size_t size() const { return out_.size(); }
@@ -140,6 +145,58 @@ class Writer
     }
 
     std::string out_;
+};
+
+/**
+ * Byte counter with Writer's verbs (the size archive): after a visit,
+ * size() is exactly the number of bytes a Writer would have appended
+ * for the same state. Its verbs ignore the values they are handed
+ * and count only their encoded widths.
+ */
+class Sizer
+{
+  public:
+    void u8(std::uint8_t) { n_ += 1; }
+    void b(bool) { n_ += 1; }
+    void u16(std::uint16_t) { n_ += 2; }
+    void u32(std::uint32_t) { n_ += 4; }
+    void u64(std::uint64_t) { n_ += 8; }
+
+    void bytes(const void *, std::size_t n) { n_ += n; }
+
+    template <class E>
+    void enumU8(E, E)
+    {
+        n_ += 1;
+    }
+
+    void expect(std::uint32_t) { n_ += 4; }
+    void expect(std::uint64_t) { n_ += 8; }
+
+    void require(bool) {}
+
+    template <class C>
+    void seq(C &c, std::size_t /* minBytes */,
+             std::size_t /* cap */ = kNoCap)
+    {
+        u64(c.size());
+        for (auto &item : c)
+            visitItem(*this, item);
+    }
+
+    void str(const std::string &s) { n_ += 8 + s.size(); }
+
+    bool zeroRun(bool blank, std::size_t n)
+    {
+        if (blank)
+            n_ += n;
+        return blank;
+    }
+
+    std::size_t size() const { return n_; }
+
+  private:
+    std::size_t n_ = 0;
 };
 
 /** Bounds-checked reader over a byte buffer, not owned (the load

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "ckpt/build_info.hh"
@@ -33,24 +34,65 @@ const char *loadStatusName(LoadStatus s)
 namespace
 {
 
-std::string encodeEnvelope(const Snapshot &snap)
+/** Everything before the payload bytes, in file order. */
+template <class Ar>
+void
+visitHeader(Ar &ar, const Snapshot &snap, std::uint64_t payloadDigest)
+{
+    ar.bytes(kMagic, sizeof(kMagic));
+    ar.u32(kFormatVersion);
+    ar.str(kBuildGitSha);
+    ar.str(kBuildType);
+    ar.str(snap.tag);
+    ar.u64(snap.seq);
+    ar.u64(snap.payload.size());
+    ar.u64(payloadDigest);
+}
+
+/** The envelope's header: every byte before the payload. */
+std::string encodeHeader(const Snapshot &snap)
 {
     Writer w;
-    w.bytes(kMagic, sizeof(kMagic));
-    w.u32(kFormatVersion);
-    w.str(kBuildGitSha);
-    w.str(kBuildType);
-    w.str(snap.tag);
-    w.u64(snap.seq);
-    w.u64(snap.payload.size());
-    w.u64(fnv1a(snap.payload.data(), snap.payload.size()));
-    w.bytes(snap.payload.data(), snap.payload.size());
+    visitHeader(w, snap, fnv1a(snap.payload.data(), snap.payload.size()));
     return w.take();
 }
 
-/** Write `data` to `path` directly (fault paths skip the tmp). */
-bool writeFile(const std::string &path, const char *data,
-               std::size_t n, bool sync, std::string *error)
+/**
+ * The whole file at `path` in one buffer sized from its length.
+ * False when it cannot be opened or read.
+ */
+bool readFile(const std::string &path, std::string &out)
+{
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return false;
+    struct stat st {};
+    bool ok = ::fstat(fd, &st) == 0;
+    out.resize(ok ? static_cast<std::size_t>(st.st_size) : 0);
+    std::size_t off = 0;
+    while (ok && off < out.size()) {
+        ssize_t got = ::read(fd, out.data() + off, out.size() - off);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0) {
+            // A read error, or a file cut short since the fstat.
+            ok = got == 0;
+            break;
+        }
+        off += static_cast<std::size_t>(got);
+    }
+    out.resize(off);
+    ::close(fd);
+    return ok;
+}
+
+/**
+ * Write `head`, then `body`, to `path` directly (fault paths skip the
+ * tmp). The payload goes out from the caller's buffer as the second
+ * piece instead of being copied in behind the header first.
+ */
+bool writeFile(const std::string &path, const std::string &head,
+               const std::string &body, bool sync, std::string *error)
 {
     int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
@@ -58,18 +100,21 @@ bool writeFile(const std::string &path, const char *data,
             *error = path + ": open: " + std::strerror(errno);
         return false;
     }
-    std::size_t off = 0;
-    while (off < n) {
-        ssize_t wrote = ::write(fd, data + off, n - off);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            if (error)
-                *error = path + ": write: " + std::strerror(errno);
-            ::close(fd);
-            return false;
+    for (const std::string *piece : {&head, &body}) {
+        std::size_t off = 0;
+        while (off < piece->size()) {
+            ssize_t wrote = ::write(fd, piece->data() + off,
+                                    piece->size() - off);
+            if (wrote < 0) {
+                if (errno == EINTR)
+                    continue;
+                if (error)
+                    *error = path + ": write: " + std::strerror(errno);
+                ::close(fd);
+                return false;
+            }
+            off += static_cast<std::size_t>(wrote);
         }
-        off += static_cast<std::size_t>(wrote);
     }
     bool synced = !sync || ::fsync(fd) == 0;
     if (!synced && error)
@@ -85,10 +130,9 @@ bool writeFile(const std::string &path, const char *data,
  * fault shaping works on simple byte positions that are guaranteed
  * to hit the region the action names.
  */
-std::string applyFault(const std::string &bytes, fault::Action action,
+std::string applyFault(std::string out, fault::Action action,
                        std::uint32_t magnitude)
 {
-    std::string out = bytes;
     switch (action) {
     case fault::Action::Delay:
         // Torn write: only the first half of the file landed.
@@ -124,11 +168,19 @@ std::string applyFault(const std::string &bytes, fault::Action action,
 
 } // namespace
 
+std::size_t envelopeBytes(const Snapshot &snap)
+{
+    Sizer s;
+    visitHeader(s, snap, 0);
+    s.bytes(snap.payload.data(), snap.payload.size());
+    return s.size();
+}
+
 SaveResult saveSnapshot(const std::string &path, const Snapshot &snap,
                         fault::Injector *injector, bool sync)
 {
     SaveResult res;
-    std::string bytes = encodeEnvelope(snap);
+    const std::string head = encodeHeader(snap);
 
     fault::Injector::Decision d;
     if (injector)
@@ -145,16 +197,15 @@ SaveResult saveSnapshot(const std::string &path, const Snapshot &snap,
         // tmp+rename discipline on purpose, because the scenario
         // being modeled is the final file ending up damaged.
         res.injected = d.action;
-        std::string damaged = applyFault(bytes, d.action, d.magnitude);
-        writeFile(path, damaged.data(), damaged.size(), sync,
-                  &res.error);
+        std::string damaged =
+            applyFault(head + snap.payload, d.action, d.magnitude);
+        writeFile(path, damaged, {}, sync, &res.error);
         return res;
     }
 
     // Crash-consistent happy path: tmp sibling + fsync + rename.
     std::string tmp = path + ".tmp";
-    if (!writeFile(tmp, bytes.data(), bytes.size(), sync,
-                   &res.error)) {
+    if (!writeFile(tmp, head, snap.payload, sync, &res.error)) {
         ::remove(tmp.c_str());
         return res;
     }
@@ -170,17 +221,8 @@ SaveResult saveSnapshot(const std::string &path, const Snapshot &snap,
 LoadStatus loadSnapshot(const std::string &path, Snapshot &out,
                         bool requireProvenance)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return LoadStatus::Missing;
     std::string bytes;
-    char buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.append(buf, got);
-    bool readOk = std::ferror(f) == 0;
-    std::fclose(f);
-    if (!readOk)
+    if (!readFile(path, bytes))
         return LoadStatus::Missing;
 
     Reader r(bytes);
@@ -203,8 +245,10 @@ LoadStatus loadSnapshot(const std::string &path, Snapshot &out,
         return LoadStatus::Corrupt;
     if (payloadSize != r.remaining())
         return LoadStatus::Corrupt;
-    snap.payload.assign(bytes.data() + (bytes.size() - r.remaining()),
-                        r.remaining());
+    // Drop the header in place: the file's buffer becomes the
+    // payload without a second copy of it.
+    bytes.erase(0, bytes.size() - r.remaining());
+    snap.payload = std::move(bytes);
     if (fnv1a(snap.payload.data(), snap.payload.size()) !=
         payloadDigest)
         return LoadStatus::Corrupt;

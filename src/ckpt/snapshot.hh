@@ -109,6 +109,9 @@ SaveResult saveSnapshot(const std::string &path, const Snapshot &snap,
                         fault::Injector *injector = nullptr,
                         bool sync = true);
 
+/** Exact length of the file saveSnapshot() writes for `snap`. */
+std::size_t envelopeBytes(const Snapshot &snap);
+
 /**
  * Read and validate a snapshot. On anything but LoadStatus::Ok,
  * `out` is untouched. `requireProvenance` (default) refuses

@@ -689,12 +689,23 @@ ckptStateDigest(const CkptState &s)
     return d.value();
 }
 
+/** The payload: validation digest, then the state. */
+template <class Ar>
+void
+visitCkptPayload(Ar &ar, std::uint64_t &digest, CkptState &s)
+{
+    ar.u64(digest);
+    s.visit(ar);
+}
+
 std::string
 encodeCkptState(CkptState s)
 {
+    std::uint64_t digest = ckptStateDigest(s);
     ckpt::Writer w;
-    w.u64(ckptStateDigest(s));
-    s.visit(w);
+    w.reserve(ckptPayloadBytes());
+    visitCkptPayload(w, digest, s);
+    assert(w.size() == ckptPayloadBytes());
     return w.take();
 }
 
@@ -704,8 +715,7 @@ decodeCkptState(const std::string &payload, CkptState &out,
 {
     ckpt::Reader r(payload);
     CkptState s;
-    r.u64(digest);
-    s.visit(r);
+    visitCkptPayload(r, digest, s);
     if (!r.ok() || !r.atEnd())
         return false;
     out = s;
@@ -735,6 +745,16 @@ filteredSchedule(const fault::Schedule &full,
 }
 
 } // namespace
+
+std::size_t
+ckptPayloadBytes()
+{
+    ckpt::Sizer size;
+    std::uint64_t digest = 0;
+    CkptState s;
+    visitCkptPayload(size, digest, s);
+    return size.size();
+}
 
 const char *
 scenarioName(ScenarioKind k)

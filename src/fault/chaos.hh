@@ -208,6 +208,9 @@ struct CellResult
 /** Deterministic schedule seed for a (kind, scenario-seed) cell. */
 std::uint64_t cellScheduleSeed(ScenarioKind kind, std::uint64_t seed);
 
+/** Exact length of one ckpt_crash cell's checkpoint payload. */
+std::size_t ckptPayloadBytes();
+
 /** Run one cell (pure function of its config). */
 CellResult runCell(const CellConfig &cfg);
 

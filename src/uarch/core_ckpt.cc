@@ -132,6 +132,14 @@ OooCore::saveState(ckpt::Writer &w) const
     const_cast<OooCore *>(this)->visit(w);
 }
 
+std::size_t
+OooCore::ckptBytes() const
+{
+    ckpt::Sizer s;
+    const_cast<OooCore *>(this)->visit(s);
+    return s.size();
+}
+
 bool
 OooCore::loadState(ckpt::Reader &r)
 {

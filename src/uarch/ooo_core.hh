@@ -418,6 +418,9 @@ class OooCore
      */
     void saveState(ckpt::Writer &w) const;
 
+    /** Exactly the number of bytes saveState() would append now. */
+    std::size_t ckptBytes() const;
+
     /**
      * Restore from a payload produced by saveState() on a core
      * constructed with the same (params, program, id). Derived

@@ -1,6 +1,7 @@
 #include "verify/scenario_run.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 #include "ckpt/snapshot.hh"
@@ -101,10 +102,19 @@ ScenarioRun::visit(Ar &ar)
 void
 ScenarioRun::saveState(ckpt::Writer &w) const
 {
+    // visit() serves load too, so it is non-const; the Writer and
+    // the Sizer only read the fields they are handed.
+    auto *self = const_cast<ScenarioRun *>(this);
+    // Size first, then write into one buffer of the exact size: a
+    // payload grown append by append regrows through every power of
+    // two below it and copies itself each time.
+    ckpt::Sizer tail;
+    self->visit(tail);
+    const std::size_t end = w.size() + core_->ckptBytes() + tail.size();
+    w.reserve(end);
     core_->saveState(w);
-    // visit() serves load too, so it is non-const; the Writer only
-    // reads the fields it is handed.
-    const_cast<ScenarioRun *>(this)->visit(w);
+    self->visit(w);
+    assert(w.size() == end);
 }
 
 bool

@@ -493,6 +493,119 @@ TEST(PayloadPin, DeclaredElementSizesMatchEncoding)
     EXPECT_EQ(encodedSize(FfSpan{}), FfSpan::kCkptBytes);
 }
 
+// ----- payload sizing (Sizer predicts what Writer appends) ----------
+
+/**
+ * The core's Sizer count is the length of its saved bytes, and
+ * ScenarioRun::saveState allocates its buffer once: a fresh Writer
+ * ends with no spare capacity, which a short or long prediction
+ * (a regrown or an over-reserved string) would leave. Returns the
+ * payload.
+ */
+std::string
+expectExactlySized(ScenarioRun &run)
+{
+    ckpt::Writer core;
+    run.core().saveState(core);
+    EXPECT_EQ(run.core().ckptBytes(), core.size());
+
+    ckpt::Writer w;
+    run.saveState(w);
+    EXPECT_EQ(w.data().capacity(), w.size());
+
+    // Appending to a Writer that already holds bytes sizes the same.
+    ckpt::Writer after;
+    after.u64(0x5a5a);
+    run.saveState(after);
+    EXPECT_EQ(after.size(), 8 + w.size());
+    return w.take();
+}
+
+TEST(PayloadSize, SizerPredictsScenarioRunSaves)
+{
+    const ScenarioConfig cfg =
+        goldenCorpusConfig(1, DeliveryStrategy::Tracked);
+    ScenarioRun reference(cfg);
+    reference.runToEnd();
+    const Cycles split = reference.finish().cycles / 2;
+    {
+        SCOPED_TRACE("run to its end");
+        expectExactlySized(reference);
+    }
+
+    ScenarioRun run(cfg);
+    {
+        SCOPED_TRACE("fresh");
+        expectExactlySized(run);
+    }
+    while (!run.done() && run.now() < split)
+        run.advance(split - run.now());
+    std::string half;
+    {
+        SCOPED_TRACE("half way");
+        half = expectExactlySized(run);
+    }
+
+    ScenarioRun back(cfg);
+    ckpt::Reader r(half);
+    ASSERT_TRUE(back.loadState(r));
+    {
+        SCOPED_TRACE("restored");
+        EXPECT_TRUE(expectExactlySized(back) == half);
+    }
+
+    MemHierarchy &mem = back.core().mem();
+    mem.l1().flushAll();
+    mem.l2().flushAll();
+    mem.llc().flushAll();
+    SCOPED_TRACE("caches flushed");
+    expectExactlySized(back);
+}
+
+TEST(PayloadSize, SizerPredictsChaosCheckpointAndEnvelope)
+{
+    chaos::CellConfig cc;
+    cc.kind = chaos::ScenarioKind::CkptCrash;
+    cc.seed = 5;
+    cc.ckptEvery = 256;
+    cc.eventBudget = 64000;
+    cc.ckptPathBase = tmpPath("size.ckpt");
+    cc.ckptKeepFiles = true;
+    ASSERT_TRUE(chaos::runCell(cc).passed);
+
+    ckpt::GenerationSet gens(cc.ckptPathBase);
+    ckpt::Snapshot snap;
+    ASSERT_EQ(gens.loadLatest(snap).status, ckpt::LoadStatus::Ok);
+    EXPECT_EQ(snap.payload.size(), chaos::ckptPayloadBytes());
+    const std::string file = readFile(gens.slotPath(snap.seq));
+    gens.removeAll();
+    EXPECT_EQ(file.size(), ckpt::envelopeBytes(snap));
+}
+
+TEST(PayloadSize, EnvelopeBytesAreTheFileLength)
+{
+    ckpt::Writer big;
+    for (std::uint64_t i = 0; i < 40000; ++i)
+        big.u64(i * 0x9e3779b97f4a7c15ull);
+    for (const std::string &payload :
+         {std::string(), std::string("x"), big.data()}) {
+        for (const char *tag : {"", "a", "roundtrip"}) {
+            const std::string path = tmpPath("envelope.ckpt");
+            ckpt::Snapshot in = sampleSnapshot(payload);
+            in.tag = tag;
+            in.seq = payload.size();
+            ASSERT_TRUE(ckpt::saveSnapshot(path, in).ok);
+            EXPECT_EQ(readFile(path).size(), ckpt::envelopeBytes(in));
+            ckpt::Snapshot out;
+            ASSERT_EQ(ckpt::loadSnapshot(path, out),
+                      ckpt::LoadStatus::Ok);
+            EXPECT_TRUE(out.payload == payload);
+            EXPECT_EQ(out.tag, tag);
+            std::filesystem::remove(path);
+        }
+    }
+}
+
 // ----- zero runs (never-touched cache sets) -------------------------
 
 TEST(ZeroRun, WriterAppendsZerosOnlyWhenBlank)

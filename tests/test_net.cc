@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/l3fwd.hh"
@@ -241,6 +242,41 @@ TEST_P(LpmOracleProperty, MatchesLinearScanOracle)
             : randomCoveredIp(routes, rng);
         EXPECT_EQ(table.lookup(addr), oracleLookup(routes, addr))
             << "addr=" << addr << " seed=" << GetParam();
+    }
+}
+
+// installRandomRoutes draws its deep routes as /25-/28 only. Host
+// and near-host routes (/29-/32) go on top of the 800, each at an
+// address a random route already covers, so each must beat a
+// shallower route in its tbl8 group; a /32 needs all six depth bits.
+TEST_P(LpmOracleProperty, DeepestRoutesOnTopMatchOracle)
+{
+    Rng rng(GetParam());
+    LpmTable table(512);
+    const std::vector<RouteSpec> base =
+        installRandomRoutes(table, 800, rng);
+    std::vector<RouteSpec> routes = base;
+    std::set<std::pair<std::uint32_t, unsigned>> seen;
+    while (routes.size() < base.size() + 200) {
+        RouteSpec r;
+        r.depth = static_cast<unsigned>(29 + rng.nextBounded(4));
+        const std::uint32_t mask =
+            r.depth == 32 ? 0xffffffffu : ~(0xffffffffu >> r.depth);
+        r.prefix = randomCoveredIp(base, rng) & mask;
+        r.nextHop = static_cast<LpmTable::NextHop>(rng.nextBounded(256));
+        if (!seen.insert({r.prefix, r.depth}).second)
+            continue;
+        ASSERT_TRUE(table.addRoute(r.prefix, r.depth, r.nextHop));
+        routes.push_back(r);
+    }
+
+    // Every address of each /24 that took one of the new routes.
+    for (std::size_t i = base.size(); i < routes.size(); ++i) {
+        const std::uint32_t first = routes[i].prefix & 0xffffff00u;
+        for (std::uint32_t low = 0; low < 256; ++low)
+            EXPECT_EQ(table.lookup(first | low),
+                      oracleLookup(routes, first | low))
+                << "addr=" << (first | low) << " seed=" << GetParam();
     }
 }
 
