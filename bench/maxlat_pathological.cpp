@@ -136,14 +136,7 @@ runCoTenancy(const bench::Options &opts)
     for (unsigned trial = 0; trial < trials; ++trial) {
         Simulation sim(opts.seed + trial);
         Kernel kernel(sim, costs, 2);
-        kernel.setEngineRaiseHook(
-            [&checker](unsigned v, unsigned prio, Cycles now) {
-                checker.onRaise(v, prio, now);
-            });
-        kernel.setEngineDeliverHook(
-            [&checker](unsigned v, Cycles now) {
-                checker.onDeliver(v, now);
-            });
+        kernel.setIntrObserver(&checker);
 
         ThreadId recv = kernel.createThread();
         kernel.registerHandler(recv, [](unsigned) {});

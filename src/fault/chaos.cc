@@ -79,7 +79,7 @@ struct Cell
         kernel.attachMetrics(metrics);
         inj.attachMetrics(metrics);
         kernel.setFaultInjector(&inj);
-        kernel.setDeliveryLedger(&ledger);
+        kernel.setIntrObserver(&ledger);
         kernel.setRecoveryEnabled(c.recovery);
     }
 
@@ -584,9 +584,9 @@ harvestCell(Cell &cell, CellResult &res)
     res.posted = cell.ledger.posted();
     res.delivered = cell.ledger.delivered();
     res.abandoned = cell.ledger.abandoned();
-    res.spuriousScans = cell.ledger.spuriousScans();
     res.coalescedSatisfied = cell.ledger.coalescedSatisfied();
     const Kernel &k = cell.kernel;
+    res.spuriousScans = k.count(KernelStat::RecoverySpuriousScans);
     res.modCoalesced = k.count(KernelStat::ModerationCoalesced);
     res.modFlushes = k.count(KernelStat::ModerationFlushes);
     res.modFlushDropped = k.count(KernelStat::ModerationFlushDropped);
@@ -653,7 +653,7 @@ captureState(Cell &c)
     s.posted = c.ledger.posted();
     s.delivered = c.ledger.delivered();
     s.abandoned = c.ledger.abandoned();
-    s.spuriousScans = c.ledger.spuriousScans();
+    s.spuriousScans = c.kernel.count(KernelStat::RecoverySpuriousScans);
     s.coalescedSatisfied = c.ledger.coalescedSatisfied();
     s.handlerRuns = c.handlerRuns;
     for (std::size_t i = 0; i < fault::kNumSites; ++i)

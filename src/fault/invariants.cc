@@ -7,16 +7,16 @@ namespace
 {
 
 const char *
-channelName(Channel ch)
+sourceName(IntrSource source)
 {
-    switch (ch) {
-      case Channel::Uipi:
+    switch (source) {
+      case IntrSource::UserIpi:
         return "uipi";
-      case Channel::KbTimer:
+      case IntrSource::KbTimer:
         return "kbtimer";
-      case Channel::Forward:
+      case IntrSource::Forwarded:
         return "forward";
-      case Channel::Signal:
+      case IntrSource::Signal:
         return "signal";
     }
     return "?";
@@ -25,9 +25,9 @@ channelName(Channel ch)
 } // namespace
 
 std::uint64_t
-keyFor(Channel ch, std::uint32_t thread, unsigned vector)
+keyFor(IntrSource source, std::uint32_t thread, unsigned vector)
 {
-    return (static_cast<std::uint64_t>(ch) << 48) |
+    return (static_cast<std::uint64_t>(source) << 48) |
            (static_cast<std::uint64_t>(thread) << 16) |
            (vector & 0xffffu);
 }
@@ -35,13 +35,37 @@ keyFor(Channel ch, std::uint32_t thread, unsigned vector)
 std::string
 describeKey(std::uint64_t key)
 {
-    Channel ch = static_cast<Channel>((key >> 48) & 0xff);
+    auto source = static_cast<IntrSource>((key >> 48) & 0xff);
     std::uint32_t thread =
         static_cast<std::uint32_t>((key >> 16) & 0xffffffffu);
     unsigned vector = static_cast<unsigned>(key & 0xffffu);
-    return std::string(channelName(ch)) + " thread " +
+    return std::string(sourceName(source)) + " thread " +
            std::to_string(thread) + " vector " +
            std::to_string(vector);
+}
+
+void
+DeliveryLedger::intrStage(IntrStage stage, std::uint64_t,
+                          IntrSource source, std::uint8_t vector,
+                          Cycles, unsigned receiver)
+{
+    std::uint64_t key = keyFor(source, receiver, vector);
+    switch (stage) {
+      case IntrStage::Raise:
+        onPosted(key);
+        return;
+      case IntrStage::Return:
+        onDelivered(key);
+        return;
+      case IntrStage::Abandon:
+        onAbandoned(key);
+        return;
+      case IntrStage::Drop:
+        onAbandonedOne(key);
+        return;
+      default:
+        return;  // timing stages: nothing to account
+    }
 }
 
 void

@@ -22,9 +22,14 @@
  *  - violations carry the decoded key so a failing chaos cell
  *    reports *which* thread/vector was lost or duplicated.
  *
- * Keys are opaque 64-bit values; keyFor() packs (kind, thread,
+ * Keys are opaque 64-bit values; keyFor() packs (source, thread,
  * vector) so the DES-tier kernel's four notification channels share
  * one ledger without colliding.
+ *
+ * The ledger is an IntrLifecycleObserver: attached to a Kernel
+ * (Kernel::setIntrObserver, alone or through an IntrObserverTee) it
+ * books Raise as a post, Return as a delivery, Abandon and Drop as
+ * abandonments, keyed by (source, receiving thread, vector).
  */
 
 #ifndef XUI_FAULT_INVARIANTS_HH
@@ -35,29 +40,27 @@
 #include <string>
 #include <vector>
 
+#include "intr/intr_observer.hh"
+
 namespace xui::fault
 {
 
-/** Notification channel a ledger key belongs to. */
-enum class Channel : std::uint8_t
-{
-    Uipi,
-    KbTimer,
-    Forward,
-    Signal,
-};
-
-/** Pack a (channel, thread, vector) into a ledger key. */
-std::uint64_t keyFor(Channel ch, std::uint32_t thread,
+/** Pack a (source, thread, vector) into a ledger key. */
+std::uint64_t keyFor(IntrSource source, std::uint32_t thread,
                      unsigned vector);
 
 /** Human-readable decoding of a ledger key. */
 std::string describeKey(std::uint64_t key);
 
 /** Per-run delivery accounting (see file comment). */
-class DeliveryLedger
+class DeliveryLedger : public IntrLifecycleObserver
 {
   public:
+    /** Book one lifecycle stage (see file comment); others ignored. */
+    void intrStage(IntrStage stage, std::uint64_t span_id,
+                   IntrSource source, std::uint8_t vector,
+                   Cycles cycle, unsigned receiver) override;
+
     /** A vector was posted/raised toward a receiver. */
     void onPosted(std::uint64_t key);
 
@@ -80,13 +83,9 @@ class DeliveryLedger
      */
     void onAbandonedOne(std::uint64_t key);
 
-    /** A notification scan found nothing pending (allowed; counted). */
-    void onSpuriousScan() { ++spuriousScans_; }
-
     std::uint64_t posted() const { return posted_; }
     std::uint64_t delivered() const { return delivered_; }
     std::uint64_t abandoned() const { return abandoned_; }
-    std::uint64_t spuriousScans() const { return spuriousScans_; }
 
     /**
      * Posts satisfied by a delivery they shared with earlier posts
@@ -132,7 +131,6 @@ class DeliveryLedger
     std::uint64_t posted_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t abandoned_ = 0;
-    std::uint64_t spuriousScans_ = 0;
     std::uint64_t coalescedSatisfied_ = 0;
 };
 

@@ -157,6 +157,9 @@ PipelinePressureProfiler::intrStage(IntrStage stage,
             }
         }
         break;
+      case IntrStage::Drop:
+      case IntrStage::Abandon:
+        break;  // DES-tier stages; a core never emits them
     }
 }
 

@@ -57,7 +57,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
 #include "uarch/cycle_hook.hh"
-#include "uarch/intr_observer.hh"
+#include "intr/intr_observer.hh"
 #include "uarch/ooo_core.hh"
 
 namespace xui

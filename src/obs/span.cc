@@ -15,6 +15,8 @@ intrSourceName(IntrSource source)
         return "kbtimer";
       case IntrSource::Forwarded:
         return "forwarded";
+      case IntrSource::Signal:
+        return "signal";
     }
     return "?";
 }
@@ -102,6 +104,9 @@ IntrSpanTracker::intrStage(IntrStage stage, std::uint64_t span_id,
         spans_.push_back(span);
         return;
       }
+      case IntrStage::Drop:
+      case IntrStage::Abandon:
+        return;  // DES-tier stages; a core never emits them
     }
 }
 

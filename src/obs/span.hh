@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "uarch/intr_observer.hh"
+#include "intr/intr_observer.hh"
 
 namespace xui
 {

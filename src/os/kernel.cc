@@ -17,8 +17,6 @@ Kernel::traceSample(KernelStat stat, unsigned vector, std::uint64_t n)
                   vector, sim_.now(), n);
 }
 
-using fault::Channel;
-
 Kernel::Kernel(Simulation &sim, const CostModel &costs,
                unsigned num_cores)
     : sim_(sim), costs_(costs), cores_(num_cores)
@@ -63,40 +61,17 @@ Kernel::isRunning(ThreadId id) const
 }
 
 void
-Kernel::deliver(Channel ch, ThreadId id, unsigned vector, bool booked)
+Kernel::deliver(IntrSource source, ThreadId id, unsigned vector,
+                bool booked)
 {
-    if (deliverViaEngine(id, vector, ch, booked))
-        return;  // booked when the frame completes
+    if (deliverViaEngine(id, vector, source, booked))
+        return;  // Return is emitted when the frame completes
+    emit(IntrStage::Deliver, source, id, vector);
     Thread &t = thread(id);
     if (t.handler)
         t.handler(vector);
     if (booked)
-        book(Booking::Delivered, ch, id, vector);
-}
-
-void
-Kernel::book(Booking what, Channel ch, ThreadId id, unsigned vector)
-{
-    if (ledger_ == nullptr)
-        return;
-    std::uint64_t key = fault::keyFor(ch, id, vector);
-    switch (what) {
-      case Booking::Posted:
-        ledger_->onPosted(key);
-        return;
-      case Booking::Delivered:
-        ledger_->onDelivered(key);
-        return;
-      case Booking::Abandoned:
-        ledger_->onAbandoned(key);
-        return;
-      case Booking::AbandonedOne:
-        ledger_->onAbandonedOne(key);
-        return;
-      case Booking::SpuriousScan:
-        ledger_->onSpuriousScan();
-        return;
-    }
+        emit(IntrStage::Return, source, id, vector);
 }
 
 unsigned
@@ -115,7 +90,7 @@ Kernel::drainParked(ThreadId id)
         for (unsigned v = parked.findFirst(); v < 256;
              v = parked.findFirst()) {
             parked.clear(v);
-            deliver(Channel::Forward, id, v);
+            deliver(IntrSource::Forwarded, id, v);
             const DeliveryPolicy *p = policyFor(t, v);
             if (p != nullptr &&
                 p->behavior == DeliveryBehavior::NextOrMissed) {
@@ -137,7 +112,7 @@ Kernel::scanUpid(ThreadId id)
     unsigned delivered = 0;
     for (unsigned v = 0; v < kNumUserVectors; ++v) {
         if ((pir >> v) & 1) {
-            deliver(Channel::Uipi, id, v);
+            deliver(IntrSource::UserIpi, id, v);
             if (inResumeDrain_) {
                 const DeliveryPolicy *p = policyFor(t, v);
                 if (p != nullptr &&
@@ -165,7 +140,6 @@ Kernel::notifyArrived(ThreadId id)
     } else {
         // Dedup absorbed it (duplicate/storm): scan finds nothing.
         t.upid.clearOutstanding();
-        book(Booking::SpuriousScan);
         note(KernelStat::RecoverySpuriousScans);
     }
 }
@@ -225,8 +199,8 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
         if (missed && t.handler) {
             cost += costs_.kbTimerReceive;
             if (!t.timerDuePosted)
-                book(Booking::Posted, Channel::KbTimer, id, t.timerVector);
-            deliver(Channel::KbTimer, id, t.timerVector);
+                emit(IntrStage::Raise, IntrSource::KbTimer, id, t.timerVector);
+            deliver(IntrSource::KbTimer, id, t.timerVector);
             if (t.timerDuePosted) {
                 t.timerDuePosted = false;
                 note(KernelStat::RecoveryKbTimerLate, t.timerVector);
@@ -247,7 +221,7 @@ Kernel::scheduleOn(ThreadId id, CoreId core_id)
     // A pending interval-timer signal fires on resume.
     if (t.pendingSignal) {
         t.pendingSignal = false;
-        deliver(Channel::Signal, id, t.pendingSigno);
+        deliver(IntrSource::Signal, id, t.pendingSigno);
         ++signalsDelivered_;
         note(KernelStat::SignalsDelivered);
         cost += costs_.signalReceive;
@@ -326,19 +300,19 @@ Kernel::senduipi(int uitt_index)
     const DeliveryPolicy *policy = policyFor(t, uv);
 
     // NEXT_ONLY: a post toward a receiver that can't take it is
-    // missed by design — it never reaches the PIR, and the ledger
-    // accounts it as an intended miss (posted + abandoned).
+    // missed by design — it never reaches the PIR, and the stream
+    // reports it as an intended miss (Raise, then Drop).
     if (policy != nullptr &&
         policy->behavior == DeliveryBehavior::NextOnly &&
         !t.running) {
-        book(Booking::Posted, Channel::Uipi, tid, uv);
-        book(Booking::AbandonedOne, Channel::Uipi, tid, uv);
+        emit(IntrStage::Raise, IntrSource::UserIpi, tid, uv);
+        emit(IntrStage::Drop, IntrSource::UserIpi, tid, uv);
         note(KernelStat::ModerationMissed, uv);
         return DeliveryPath::Suppressed;
     }
 
     Upid::PostResult result = entry->upid->post(uv);
-    book(Booking::Posted, Channel::Uipi, tid, uv);
+    emit(IntrStage::Raise, IntrSource::UserIpi, tid, uv);
 
     // Moderation gates only the notification: the post is already
     // in the PIR, so the eventual flush scan delivers the batch.
@@ -420,7 +394,6 @@ Kernel::senduipi(int uitt_index)
             // rescan path recovers the stranded post.
             note(KernelStat::FaultIpiReordered);
             t.upid.clearOutstanding();
-            book(Booking::SpuriousScan);
             note(KernelStat::RecoverySpuriousScans);
             if (recoveryEnabled_)
                 scheduleUpidRecovery(tid, 0);
@@ -522,7 +495,6 @@ Kernel::moderationFlush(ThreadId id, unsigned vector)
         scanUpid(id);
     } else {
         // Resume drain beat the flush to the batch.
-        book(Booking::SpuriousScan);
         note(KernelStat::RecoverySpuriousScans, vector);
     }
 }
@@ -575,7 +547,7 @@ Kernel::engineEnqueue(Thread &t, const EngDeferred &d)
 
 bool
 Kernel::deliverViaEngine(ThreadId id, unsigned vector,
-                         Channel ch, bool booked)
+                         IntrSource source, bool booked)
 {
     Thread &t = thread(id);
     if (t.handlerCosts.empty())
@@ -584,15 +556,13 @@ Kernel::deliverViaEngine(ThreadId id, unsigned vector,
     if (it == t.handlerCosts.end())
         return false;
 
-    unsigned prio = enginePriority(t, vector);
-    if (engineRaiseHook_)
-        engineRaiseHook_(vector, prio, sim_.now());
+    emit(IntrStage::Accept, source, id, vector);
 
     EngDeferred d;
     d.vector = vector;
-    d.prio = prio;
+    d.prio = enginePriority(t, vector);
     d.cost = it->second;
-    d.channel = ch;
+    d.source = source;
     d.booked = booked;
     d.seq = engSeq_++;
     engineEnqueue(t, d);
@@ -654,7 +624,7 @@ Kernel::enginePreempt(ThreadId id)
                         r.vector = lost.vector;
                         r.prio = lost.prio;
                         r.cost = lost.remaining;
-                        r.channel = lost.channel;
+                        r.source = lost.source;
                         r.booked = lost.booked;
                         r.seq = seq;
                         r.alreadyStarted = true;
@@ -688,7 +658,7 @@ Kernel::engineStartFrame(ThreadId id)
     EngFrame f;
     f.vector = d.vector;
     f.prio = d.prio;
-    f.channel = d.channel;
+    f.source = d.source;
     f.booked = d.booked;
     f.remaining = 0;
     t.engFrames.push_back(f);
@@ -697,8 +667,7 @@ Kernel::engineStartFrame(ThreadId id)
     scheduleEngineAdvance(id);
 
     if (!d.alreadyStarted) {
-        if (engineDeliverHook_)
-            engineDeliverHook_(d.vector, sim_.now());
+        emit(IntrStage::Deliver, d.source, id, d.vector);
         if (t.handler)
             t.handler(d.vector);
     }
@@ -736,7 +705,7 @@ Kernel::engineAdvance(ThreadId id, std::uint64_t gen)
         EngFrame done = t.engFrames.back();
         t.engFrames.pop_back();
         if (done.booked)
-            book(Booking::Delivered, done.channel, id, done.vector);
+            emit(IntrStage::Return, done.source, id, done.vector);
         note(KernelStat::PreemptCompletions, done.vector);
 
         // A strictly-higher-priority arrival beats the resumable
@@ -806,7 +775,7 @@ Kernel::setTimer(ThreadId id, Cycles cycles, KbTimerMode mode)
     }
     if (t.timerDuePosted) {
         t.timerDuePosted = false;
-        book(Booking::Abandoned, Channel::KbTimer, id, t.timerVector);
+        emit(IntrStage::Abandon, IntrSource::KbTimer, id, t.timerVector);
     }
     // Programming while descheduled updates the saved image.
     t.timerSave.armed = true;
@@ -834,7 +803,7 @@ Kernel::clearTimer(ThreadId id)
         t.timerSave.armed = false;
         if (t.timerDuePosted) {
             t.timerDuePosted = false;
-            book(Booking::Abandoned, Channel::KbTimer, id,
+            emit(IntrStage::Abandon, IntrSource::KbTimer, id,
                  t.timerVector);
         }
     }
@@ -855,11 +824,13 @@ Kernel::pollKbTimer(CoreId core_id, Cycles now)
         auto d = fault_->decide(fault::Site::KbTimerPoll);
         if (d.action == fault::Action::Spurious) {
             // Phantom expiry: the handler runs although nothing was
-            // armed. Out-of-band by design, so no ledger post — the
-            // invariants only track real expiries.
+            // armed. Out-of-band by design, so no Raise — the ledger
+            // only tracks real expiries.
             note(KernelStat::FaultKbTimerSpurious);
             ThreadId running = core.running;
             if (running != kNoThread) {
+                emit(IntrStage::Deliver, IntrSource::KbTimer, running,
+                     core.timer.vector());
                 Thread &t = thread(running);
                 if (t.handler)
                     t.handler(core.timer.vector());
@@ -873,7 +844,7 @@ Kernel::pollKbTimer(CoreId core_id, Cycles now)
     if (!core.timerDue) {
         core.timerDue = true;
         if (core.running != kNoThread)
-            book(Booking::Posted, Channel::KbTimer, core.running,
+            emit(IntrStage::Raise, IntrSource::KbTimer, core.running,
                  core.timer.vector());
     }
 
@@ -923,9 +894,9 @@ Kernel::deliverKbTimerFired(CoreId core_id)
 {
     Core &core = cores_[core_id];
     note(KernelStat::KbTimerFired);
-    // Only an observed (posted) expiry is booked.
+    // Only an observed (raised) expiry is accounted by a Return.
     if (core.running != kNoThread)
-        deliver(Channel::KbTimer, core.running, core.timer.vector(),
+        deliver(IntrSource::KbTimer, core.running, core.timer.vector(),
                 core.timerDue);
     if (core.timerMisfired)
         note(KernelStat::RecoveryKbTimerLate, core.timer.vector());
@@ -938,7 +909,7 @@ Kernel::abandonTimerDue(CoreId core_id)
 {
     Core &core = cores_[core_id];
     if (core.running != kNoThread)
-        book(Booking::Abandoned, Channel::KbTimer, core.running,
+        emit(IntrStage::Abandon, IntrSource::KbTimer, core.running,
              core.timer.vector());
     core.timerDue = false;
     core.timerMisfired = false;
@@ -974,7 +945,7 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
         ThreadId running = core.running;
         assert(running != kNoThread);
         Thread &t = thread(running);
-        book(Booking::Posted, Channel::Forward, running, v);
+        emit(IntrStage::Raise, IntrSource::Forwarded, running, v);
         if (fault_ != nullptr) {
             auto d = fault_->decide(fault::Site::ForwardDispatch);
             if (d.action == fault::Action::Drop) {
@@ -996,7 +967,7 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
                 return DeliveryPath::Deferred;
             }
         }
-        deliver(Channel::Forward, running, v);
+        deliver(IntrSource::Forwarded, running, v);
         note(KernelStat::ForwardFast);
         return DeliveryPath::Fast;
       }
@@ -1010,12 +981,12 @@ Kernel::deviceInterrupt(CoreId core_id, unsigned vector)
             const DeliveryPolicy *p = policyFor(ot, v);
             if (p != nullptr &&
                 p->behavior == DeliveryBehavior::NextOnly) {
-                book(Booking::Posted, Channel::Forward, owner, v);
-                book(Booking::AbandonedOne, Channel::Forward, owner, v);
+                emit(IntrStage::Raise, IntrSource::Forwarded, owner, v);
+                emit(IntrStage::Drop, IntrSource::Forwarded, owner, v);
                 note(KernelStat::ModerationMissed, v);
                 return DeliveryPath::Suppressed;
             }
-            book(Booking::Posted, Channel::Forward, owner, v);
+            emit(IntrStage::Raise, IntrSource::Forwarded, owner, v);
             ot.dupid.post(v);
         }
         note(KernelStat::ForwardSlow);
@@ -1033,7 +1004,7 @@ Kernel::delayedForwardDeliver(CoreId core_id, unsigned vector,
 {
     Core &core = cores_[core_id];
     if (core.running == posted_to) {
-        deliver(Channel::Forward, posted_to, vector);
+        deliver(IntrSource::Forwarded, posted_to, vector);
         note(KernelStat::RecoveryForwardDelayed, vector);
         return;
     }
@@ -1068,9 +1039,9 @@ Kernel::setInterval(ThreadId id, Cycles interval, unsigned signo)
     timer.event = std::make_unique<PeriodicEvent>(
         sim_.queue(), interval, [this, id, signo] {
             Thread &t = thread(id);
-            book(Booking::Posted, Channel::Signal, id, signo);
+            emit(IntrStage::Raise, IntrSource::Signal, id, signo);
             if (t.running) {
-                deliver(Channel::Signal, id, signo);
+                deliver(IntrSource::Signal, id, signo);
                 ++signalsDelivered_;
                 note(KernelStat::SignalsDelivered);
             } else {

@@ -35,8 +35,8 @@
 
 #include "des/simulation.hh"
 #include "fault/fault.hh"
-#include "fault/invariants.hh"
 #include "intr/forwarding.hh"
+#include "intr/intr_observer.hh"
 #include "intr/kb_timer.hh"
 #include "intr/policy.hh"
 #include "intr/uitt.hh"
@@ -237,8 +237,8 @@ class Kernel
      * pay nothing: the policy lookup is guarded by an empty-map
      * check, so an unconfigured kernel is bit-identical.
      *
-     * NEXT_ONLY drops posts toward a descheduled receiver (ledger:
-     * posted+abandoned, counted in kernel.moderation.missed) — they
+     * NEXT_ONLY drops posts toward a descheduled receiver (stages
+     * Raise then Drop, counted in kernel.moderation.missed) — they
      * are never parked in the PIR/DUPID. Level trigger rescans the
      * UPID on a post that finds ON already set, recovering from a
      * lost notification IPI without the rescan backoff.
@@ -279,24 +279,6 @@ class Kernel
      */
     void setHandlerCost(ThreadId thread, unsigned vector,
                         Cycles cost);
-
-    /**
-     * Observer hooks for the occupancy engine, so the verify layer
-     * (BoundChecker) can watch raise->deliver latencies without an
-     * os -> verify link dependency. Raise fires at arrival (with the
-     * vector's priority); deliver fires when the handler is invoked.
-     */
-    void setEngineRaiseHook(
-        std::function<void(unsigned vector, unsigned prio,
-                           Cycles now)> hook)
-    {
-        engineRaiseHook_ = std::move(hook);
-    }
-    void setEngineDeliverHook(
-        std::function<void(unsigned vector, Cycles now)> hook)
-    {
-        engineDeliverHook_ = std::move(hook);
-    }
 
     /** Nested depth of in-flight handler frames (tests). */
     std::size_t enginePreemptDepth(ThreadId thread) const;
@@ -385,13 +367,26 @@ class Kernel
     void setFaultInjector(fault::Injector *inj) { fault_ = inj; }
 
     /**
-     * Attach a delivery ledger: every post/delivery through the
-     * kernel's four notification channels (UIPI, KB timer,
-     * forwarding, signals) is accounted for invariant checking.
+     * Attach one interrupt-lifecycle observer (nullptr detaches; a
+     * detached kernel pays one null check per stage). The four
+     * channels (UIPI, KB timer, forwarding, signals) report as
+     * IntrSource UserIpi/KbTimer/Forwarded/Signal, with span id 0
+     * and the receiving thread as the receiver argument:
+     *  - Raise: a post toward the thread;
+     *  - Accept: the occupancy engine took the arrival;
+     *  - Deliver: the handler is invoked (engine: at frame start,
+     *    never again for a replayed continuation);
+     *  - Return: the delivery is accounted (engine: the frame
+     *    completed; never for a KB fire whose expiry was unobserved);
+     *  - Drop: one post missed by design (NEXT_ONLY);
+     *  - Abandon: an observed KB-timer expiry cancelled.
+     * The DeliveryLedger (invariant checking) and the BoundChecker
+     * (engine latency bounds) attach here, alone or through an
+     * IntrObserverTee.
      */
-    void setDeliveryLedger(fault::DeliveryLedger *ledger)
+    void setIntrObserver(IntrLifecycleObserver *obs)
     {
-        ledger_ = ledger;
+        observer_ = obs;
     }
 
     /**
@@ -461,23 +456,13 @@ class Kernel
         Running,
     };
 
-    /** One ledger event: DeliveryLedger's five calls. */
-    enum class Booking : std::uint8_t
-    {
-        Posted,
-        Delivered,
-        Abandoned,
-        AbandonedOne,
-        SpuriousScan,
-    };
-
     /** One in-flight (running or preempted) handler frame. */
     struct EngFrame
     {
         unsigned vector = 0;
         unsigned prio = 0;
-        /** Channel booked on frame completion, when `booked`. */
-        fault::Channel channel = fault::Channel::Uipi;
+        /** Source of the Return emitted on completion (`booked`). */
+        IntrSource source = IntrSource::UserIpi;
         bool booked = false;
         /** Cycles still owed when preempted. */
         Cycles remaining = 0;
@@ -489,7 +474,7 @@ class Kernel
         unsigned vector = 0;
         unsigned prio = 0;
         Cycles cost = 0;
-        fault::Channel channel = fault::Channel::Uipi;
+        IntrSource source = IntrSource::UserIpi;
         bool booked = false;
         /** Arrival order; ties within a priority resolve FIFO. */
         std::uint64_t seq = 0;
@@ -514,9 +499,9 @@ class Kernel
         bool pendingSignal = false;
         unsigned pendingSigno = 0;
         /**
-         * A KB-timer expiry was observed (and ledger-posted) for
-         * this thread but not yet delivered when it descheduled;
-         * the restore-missed path completes the accounting.
+         * A KB-timer expiry was observed (and raised) for this
+         * thread but not yet delivered when it descheduled; the
+         * restore-missed path completes the accounting.
          */
         bool timerDuePosted = false;
         /** Per-vector delivery policies (empty = all legacy). */
@@ -577,21 +562,27 @@ class Kernel
     /**
      * The delivery funnel: every delivery of a posted vector runs
      * here. The occupancy engine takes the vector when the thread
-     * declared a handler cost for it, and books the delivery when
-     * the frame completes; otherwise the handler runs now and the
-     * delivery is booked under (channel, thread, vector). With
-     * `booked` false the handler runs and nothing is booked (a KB
-     * fire whose expiry was never observed, so never posted).
+     * declared a handler cost for it, and emits Return when the
+     * frame completes; otherwise it emits Deliver, runs the handler
+     * now and emits Return. With `booked` false nothing is
+     * accounted: no Return (a KB fire whose expiry was never
+     * observed, so never raised).
      */
-    void deliver(fault::Channel ch, ThreadId id, unsigned vector,
+    void deliver(IntrSource source, ThreadId id, unsigned vector,
                  bool booked = true);
+
     /**
-     * Book one ledger event under the (channel, thread, vector) key;
-     * SpuriousScan has no key. Nothing without a ledger attached:
-     * the only place the kernel reads ledger_.
+     * Report one lifecycle stage to the observer, if any: the only
+     * place the kernel reads observer_.
      */
-    void book(Booking what, fault::Channel ch = fault::Channel::Uipi,
-              ThreadId id = kNoThread, unsigned vector = kNoVector);
+    void emit(IntrStage stage, IntrSource source, ThreadId id,
+              unsigned vector)
+    {
+        if (observer_ != nullptr)
+            observer_->intrStage(stage, 0, source,
+                                 static_cast<std::uint8_t>(vector),
+                                 sim_.now(), id);
+    }
 
     // ----- occupancy engine (priority preemption) --------------------
 
@@ -599,10 +590,10 @@ class Kernel
      * Route one delivery through the occupancy engine. @return false
      * (and touch nothing) when the engine is off for this vector —
      * deliver() falls through to the immediate delivery. When
-     * `booked`, the frame books (ch, id, vector) on completion.
+     * `booked`, the frame emits Return on completion.
      */
     bool deliverViaEngine(ThreadId id, unsigned vector,
-                          fault::Channel ch, bool booked);
+                          IntrSource source, bool booked);
     /** The vector's priority (policy, or 0 when unset). */
     unsigned enginePriority(const Thread &t, unsigned vector) const;
     /** Insert into engDeferred keeping (prio desc, seq asc). */
@@ -662,15 +653,13 @@ class Kernel
 
     // Fault fabric (null = perfect delivery, zero-cost).
     fault::Injector *fault_ = nullptr;
-    fault::DeliveryLedger *ledger_ = nullptr;
+    IntrLifecycleObserver *observer_ = nullptr;
     bool recoveryEnabled_ = true;
     Cycles recoveryBackoff_ = 256;
     unsigned maxRecoveryAttempts_ = 6;
 
     /** Global arrival sequence for deferred FIFO tie-breaks. */
     std::uint64_t engSeq_ = 0;
-    std::function<void(unsigned, unsigned, Cycles)> engineRaiseHook_;
-    std::function<void(unsigned, Cycles)> engineDeliverHook_;
     /** True while drainParked delivers resume-drain backlog. */
     bool inResumeDrain_ = false;
 };

@@ -19,18 +19,11 @@
 #include <vector>
 
 #include "des/time.hh"
+#include "intr/intr_observer.hh"
 #include "intr/policy.hh"
 
 namespace xui
 {
-
-/** Where an accepted user interrupt came from. */
-enum class IntrSource : std::uint8_t
-{
-    UserIpi,    ///< UIPI: notification + delivery microcode
-    KbTimer,    ///< xUI KB timer: delivery microcode only
-    Forwarded,  ///< xUI forwarded device interrupt: delivery only
-};
 
 /** One pending user interrupt awaiting delivery. */
 struct PendingIntr

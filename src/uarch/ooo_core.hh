@@ -40,7 +40,7 @@
 #include "uarch/core_params.hh"
 #include "uarch/cycle_hook.hh"
 #include "uarch/interrupt_unit.hh"
-#include "uarch/intr_observer.hh"
+#include "intr/intr_observer.hh"
 #include "uarch/mcrom.hh"
 #include "uarch/program.hh"
 #include "uarch/trace.hh"

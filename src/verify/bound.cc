@@ -101,13 +101,19 @@ BoundChecker::setBound(unsigned vector, unsigned priority,
 }
 
 void
-BoundChecker::onRaise(unsigned vector, unsigned priority,
-                      Cycles now)
+BoundChecker::intrStage(IntrStage stage, std::uint64_t, IntrSource,
+                        std::uint8_t vector, Cycles cycle, unsigned)
 {
-    PerVector &v = vectors_[vector];
-    if (!v.bounded)
-        v.priority = priority;
-    v.outstanding.push_back(now);
+    if (stage == IntrStage::Accept)
+        onRaise(vector, cycle);
+    else if (stage == IntrStage::Deliver)
+        onDeliver(vector, cycle);
+}
+
+void
+BoundChecker::onRaise(unsigned vector, Cycles now)
+{
+    vectors_[vector].outstanding.push_back(now);
 }
 
 void

@@ -18,15 +18,16 @@
  *    save/restore windows themselves are non-preemptible) plus the
  *    vector's own moderation window and the wire/receive costs.
  *
- *  - BoundChecker is an online observer wired to the kernel's
- *    occupancy-engine hooks: it FIFO-matches every raise to its
- *    delivery per vector and asserts the observed latency never
+ *  - BoundChecker is an online IntrLifecycleObserver attached to
+ *    the kernel (Kernel::setIntrObserver): it FIFO-matches every
+ *    occupancy-engine arrival (Accept) to its handler start
+ *    (Deliver) per vector and asserts the observed latency never
  *    exceeds the bound configured for that vector. Violations are
  *    collected (not fatal) so drivers can report
  *    observed-vs-analytical headroom and exit nonzero.
  *
- * The header is os-free: the kernel exposes plain std::function
- * hooks, so xui_verify_lib needs no link against xui_os.
+ * The header is os-free: the observer interface lives in src/intr,
+ * so xui_verify_lib needs no link against xui_os.
  */
 
 #ifndef XUI_VERIFY_BOUND_HH
@@ -38,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "intr/intr_observer.hh"
 #include "os/cost_model.hh"
 
 namespace xui
@@ -84,19 +86,24 @@ computeDeliveryBounds(const CostModel &costs,
                       const std::vector<VectorProfile> &profiles);
 
 /**
- * Online raise -> deliver latency checker. Wire onRaise /
- * onDeliver to Kernel::setEngineRaiseHook / setEngineDeliverHook;
- * every vector with a configured bound is checked, others are
- * tracked but never flagged.
+ * Online raise -> deliver latency checker. Attached as the kernel's
+ * observer, Accept (engine arrival) calls onRaise and Deliver
+ * (frame start) calls onDeliver; every other stage is ignored.
+ * Every vector with a configured bound is checked, others are
+ * tracked (at priority 0) but never flagged.
  */
-class BoundChecker
+class BoundChecker : public IntrLifecycleObserver
 {
   public:
     /** Configure the checked bound for a vector. */
     void setBound(unsigned vector, unsigned priority, Cycles bound);
 
+    void intrStage(IntrStage stage, std::uint64_t span_id,
+                   IntrSource source, std::uint8_t vector,
+                   Cycles cycle, unsigned receiver) override;
+
     /** An arrival was raised toward the receiver. */
-    void onRaise(unsigned vector, unsigned priority, Cycles now);
+    void onRaise(unsigned vector, Cycles now);
 
     /** The handler for `vector` started (FIFO-matched to raises). */
     void onDeliver(unsigned vector, Cycles now);

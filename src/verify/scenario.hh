@@ -21,7 +21,7 @@
 
 #include "des/time.hh"
 #include "uarch/core_params.hh"
-#include "uarch/intr_observer.hh"
+#include "intr/intr_observer.hh"
 #include "uarch/ooo_core.hh"
 #include "verify/fuzz.hh"
 #include "verify/trace_log.hh"

@@ -30,6 +30,7 @@
 #include "des/simulation.hh"
 #include "fault/invariants.hh"
 #include "intr/policy.hh"
+#include "intr_stream_digest.hh"
 #include "obs/metrics.hh"
 #include "os/kernel.hh"
 #include "stats/rng.hh"
@@ -203,9 +204,9 @@ TEST(Ledger, DifferentialAgainstBruteForceReference)
         fault::DeliveryLedger ledger;
         std::map<std::uint64_t, RefKey> ref;
 
-        const fault::Channel chans[] = {
-            fault::Channel::Uipi, fault::Channel::KbTimer,
-            fault::Channel::Forward, fault::Channel::Signal};
+        const IntrSource chans[] = {
+            IntrSource::UserIpi, IntrSource::KbTimer,
+            IntrSource::Forwarded, IntrSource::Signal};
         for (int op = 0; op < 400; ++op) {
             std::uint64_t key = fault::keyFor(
                 chans[rng.nextBounded(4)],
@@ -268,7 +269,7 @@ TEST(Ledger, CoalescedConservationIdentityOnCleanStream)
     for (std::uint64_t trial = 0; trial < 8; ++trial) {
         Rng rng(0xACC0ull + trial);
         fault::DeliveryLedger ledger;
-        std::uint64_t key = fault::keyFor(fault::Channel::Uipi, 0,
+        std::uint64_t key = fault::keyFor(IntrSource::UserIpi, 0,
                                           1 + trial % 3);
         std::uint64_t pending = 0;
         for (int op = 0; op < 200; ++op) {
@@ -303,6 +304,8 @@ struct FourChannelRun
 {
     std::uint64_t handlerRuns = 0;
     fault::DeliveryLedger ledger;
+    /** The whole stage stream, beside the ledger. */
+    test::IntrStreamDigest stream;
     MetricsRegistry metrics;
     bool moderated = false;
     bool nextOnly = false;
@@ -322,7 +325,10 @@ runFourChannels(std::uint64_t seed, FourChannelRun &out)
     CostModel costs;
     Kernel kernel(sim, costs, 2);
     kernel.attachMetrics(out.metrics);
-    kernel.setDeliveryLedger(&out.ledger);
+    IntrObserverTee tee;
+    tee.add(&out.ledger);
+    tee.add(&out.stream);
+    kernel.setIntrObserver(&tee);
 
     Rng rng(0xF0C4ull ^ (seed * 0x9e3779b97f4a7c15ull));
 
@@ -488,4 +494,22 @@ TEST(Coalescing, InterleavingsAreDeterministic)
               b.ledger.coalescedSatisfied());
     EXPECT_EQ(a.ledger.abandoned(), b.ledger.abandoned());
     EXPECT_EQ(a.handlerRuns, b.handlerRuns);
+    EXPECT_EQ(a.stream.digest.value(), b.stream.digest.value());
+}
+
+TEST(Coalescing, FourChannelStreamsArePinned)
+{
+    // The ordered stage stream of every seed the tests above run,
+    // folded into one digest: a change to any post, delivery,
+    // abandonment, or its cycle moves it.
+    Fnv1a all;
+    std::uint64_t stages = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        FourChannelRun run;
+        runFourChannels(seed, run);
+        all.update(run.stream.digest.value());
+        stages += run.stream.stages;
+    }
+    EXPECT_EQ(stages, 13194u);
+    EXPECT_EQ(all.value(), 0x4eb24518a544ddb4ull);
 }

@@ -21,6 +21,7 @@
 #include "fault/chaos.hh"
 #include "fault/fault.hh"
 #include "fault/invariants.hh"
+#include "intr_stream_digest.hh"
 #include "obs/metrics.hh"
 #include "os/kernel.hh"
 #include "runtime/sender.hh"
@@ -287,7 +288,7 @@ TEST(FaultInjector, MatchesNthOccurrenceOnly)
 TEST(DeliveryLedger, CoalescedDeliveryPasses)
 {
     fault::DeliveryLedger l;
-    std::uint64_t k = fault::keyFor(fault::Channel::Uipi, 1, 3);
+    std::uint64_t k = fault::keyFor(IntrSource::UserIpi, 1, 3);
     l.onPosted(k);
     l.onPosted(k);
     l.onDelivered(k);  // PIR coalescing: two posts, one delivery
@@ -297,7 +298,7 @@ TEST(DeliveryLedger, CoalescedDeliveryPasses)
 TEST(DeliveryLedger, NeverDeliveredIsLoss)
 {
     fault::DeliveryLedger l;
-    l.onPosted(fault::keyFor(fault::Channel::KbTimer, 0, 33));
+    l.onPosted(fault::keyFor(IntrSource::KbTimer, 0, 33));
     auto v = l.check();
     ASSERT_EQ(v.size(), 1u);
     EXPECT_NE(v[0].find("lost notification"), std::string::npos);
@@ -307,7 +308,7 @@ TEST(DeliveryLedger, NeverDeliveredIsLoss)
 TEST(DeliveryLedger, TrailingPostIsStranded)
 {
     fault::DeliveryLedger l;
-    std::uint64_t k = fault::keyFor(fault::Channel::Uipi, 2, 1);
+    std::uint64_t k = fault::keyFor(IntrSource::UserIpi, 2, 1);
     l.onPosted(k);
     l.onDelivered(k);
     l.onPosted(k);  // never satisfied
@@ -320,7 +321,7 @@ TEST(DeliveryLedger, TrailingPostIsStranded)
 TEST(DeliveryLedger, PhantomDeliveryCaughtEagerly)
 {
     fault::DeliveryLedger l;
-    std::uint64_t k = fault::keyFor(fault::Channel::Forward, 0, 64);
+    std::uint64_t k = fault::keyFor(IntrSource::Forwarded, 0, 64);
     l.onPosted(k);
     l.onDelivered(k);
     l.onDelivered(k);  // one post, two deliveries
@@ -334,7 +335,7 @@ TEST(DeliveryLedger, PhantomDeliveryCaughtEagerly)
 TEST(DeliveryLedger, AbandonedIsNotLoss)
 {
     fault::DeliveryLedger l;
-    std::uint64_t k = fault::keyFor(fault::Channel::KbTimer, 1, 33);
+    std::uint64_t k = fault::keyFor(IntrSource::KbTimer, 1, 33);
     l.onPosted(k);
     l.onAbandoned(k);
     EXPECT_TRUE(l.ok());
@@ -350,12 +351,17 @@ struct KernelRig
     Kernel kernel{sim, costs, 2};
     MetricsRegistry metrics;
     fault::DeliveryLedger ledger;
+    /** The whole stage stream, beside the ledger. */
+    test::IntrStreamDigest stream;
+    IntrObserverTee tee;
     unsigned delivered = 0;
 
     KernelRig()
     {
         kernel.attachMetrics(metrics);
-        kernel.setDeliveryLedger(&ledger);
+        tee.add(&ledger);
+        tee.add(&stream);
+        kernel.setIntrObserver(&tee);
     }
 
     ThreadId receiver(CoreId core)
@@ -640,7 +646,7 @@ struct LedgerSite
 {
     const char *name;
     /** Channel of the notification the site books. */
-    fault::Channel channel;
+    IntrSource channel;
     /**
      * Drive the site on a fresh rig; return the (thread, vector) of
      * the notification it books.
@@ -653,6 +659,8 @@ struct LedgerSite
     std::uint64_t coalescedSatisfied;
     /** Handler invocations, booked or not. */
     unsigned handlerRuns;
+    /** IntrStreamDigest of the rig's whole stage stream. */
+    std::uint64_t stream;
 };
 
 /** Advance the simulation clock to `at` with nothing else to run. */
@@ -677,7 +685,6 @@ injectOnce(KernelRig &rig, fault::Site site, fault::Action action,
 
 TEST(KernelLedger, EverySiteBooksItsOwnKey)
 {
-    using fault::Channel;
     constexpr unsigned kUv = 2;
     constexpr unsigned kTimerVec = 33;
     constexpr unsigned kSigno = 14;
@@ -686,14 +693,15 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
     nextOnly.behavior = DeliveryBehavior::NextOnly;
 
     const std::vector<LedgerSite> sites = {
-        {"scanUpid (senduipi fast path)", Channel::Uipi,
+        {"scanUpid (senduipi fast path)", IntrSource::UserIpi,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.senduipi(rig.kernel.registerSender(t, kUv));
              return std::make_pair(t, kUv);
          },
-         1, 1, 0, 0, 0, 1},
-        {"drainParked DUPID drain", Channel::Forward,
+         1, 1, 0, 0, 0, 1,
+         0x31c57f2616afdf66ull},
+        {"drainParked DUPID drain", IntrSource::Forwarded,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              auto v = static_cast<unsigned>(
@@ -704,8 +712,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.scheduleOn(t, 0);
              return std::make_pair(t, v);
          },
-         2, 1, 0, 0, 1, 1},
-        {"scheduleOn missed KB deadline", Channel::KbTimer,
+         2, 1, 0, 0, 1, 1,
+         0x83b4b76d8fbd8584ull},
+        {"scheduleOn missed KB deadline", IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.enableKbTimer(t, kTimerVec);
@@ -715,8 +724,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.scheduleOn(t, 1);
              return std::make_pair(t, kTimerVec);
          },
-         1, 1, 0, 0, 0, 1},
-        {"scheduleOn pending signal", Channel::Signal,
+         1, 1, 0, 0, 0, 1,
+         0x133b3aa3e9850469ull},
+        {"scheduleOn pending signal", IntrSource::Signal,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.deschedule(t);
@@ -726,8 +736,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.scheduleOn(t, 0);
              return std::make_pair(t, kSigno);
          },
-         2, 1, 0, 0, 1, 1},
-        {"deliverKbTimerFired", Channel::KbTimer,
+         2, 1, 0, 0, 1, 1,
+         0xcdb74dd1cd4ec628ull},
+        {"deliverKbTimerFired", IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.enableKbTimer(t, kTimerVec);
@@ -735,11 +746,12 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.pollKbTimer(0, 1500);
              return std::make_pair(t, kTimerVec);
          },
-         1, 1, 0, 0, 0, 1},
+         1, 1, 0, 0, 0, 1,
+         0x5b8e7b6cf7e62364ull},
         // A delayed fire that lands on another thread's expired timer
         // runs that thread's handler unbooked; the first thread's
         // observed expiry travels with it and is booked on resume.
-        {"deliverKbTimerFired unbooked fire", Channel::KbTimer,
+        {"deliverKbTimerFired unbooked fire", IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId a = rig.receiver(0);
              ThreadId b = rig.kernel.createThread();
@@ -762,8 +774,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.scheduleOn(a, 1);
              return std::make_pair(a, kTimerVec);
          },
-         1, 1, 0, 0, 0, 2},
-        {"deviceInterrupt fast path", Channel::Forward,
+         1, 1, 0, 0, 0, 2,
+         0xdf0cd53f03f35a10ull},
+        {"deviceInterrupt fast path", IntrSource::Forwarded,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              auto v = static_cast<unsigned>(
@@ -771,8 +784,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.deviceInterrupt(0, v);
              return std::make_pair(t, v);
          },
-         1, 1, 0, 0, 0, 1},
-        {"delayedForwardDeliver", Channel::Forward,
+         1, 1, 0, 0, 0, 1,
+         0x974d82258cf043e6ull},
+        {"delayedForwardDeliver", IntrSource::Forwarded,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              auto v = static_cast<unsigned>(
@@ -784,8 +798,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.sim.runUntil(1000);
              return std::make_pair(t, v);
          },
-         1, 1, 0, 0, 0, 1},
-        {"setInterval firing on a running thread", Channel::Signal,
+         1, 1, 0, 0, 0, 1,
+         0x9c546ecae617fe26ull},
+        {"setInterval firing on a running thread", IntrSource::Signal,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              int id = rig.kernel.setInterval(t, 100, kSigno);
@@ -793,8 +808,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.cancelInterval(id);
              return std::make_pair(t, kSigno);
          },
-         1, 1, 0, 0, 0, 1},
-        {"senduipi NEXT_ONLY miss", Channel::Uipi,
+         1, 1, 0, 0, 0, 1,
+         0xf5e1accdb50f876dull},
+        {"senduipi NEXT_ONLY miss", IntrSource::UserIpi,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              int idx = rig.kernel.registerSender(t, kUv);
@@ -803,8 +819,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.senduipi(idx);
              return std::make_pair(t, kUv);
          },
-         1, 0, 1, 0, 0, 0},
-        {"deviceInterrupt slow path NEXT_ONLY miss", Channel::Forward,
+         1, 0, 1, 0, 0, 0,
+         0xb6143d32dd260badull},
+        {"deviceInterrupt slow path NEXT_ONLY miss", IntrSource::Forwarded,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              auto v = static_cast<unsigned>(
@@ -814,8 +831,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.deviceInterrupt(0, v);
              return std::make_pair(t, v);
          },
-         1, 0, 1, 0, 0, 0},
-        {"setTimer abandons a descheduled due expiry", Channel::KbTimer,
+         1, 0, 1, 0, 0, 0,
+         0xf2905332d65b0c2dull},
+        {"setTimer abandons a descheduled due expiry", IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.enableKbTimer(t, kTimerVec);
@@ -827,9 +845,10 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.setTimer(t, 5000, KbTimerMode::OneShot);
              return std::make_pair(t, kTimerVec);
          },
-         1, 0, 1, 0, 0, 0},
+         1, 0, 1, 0, 0, 0,
+         0xd04a4b145b6383ccull},
         {"clearTimer abandons a descheduled due expiry",
-         Channel::KbTimer,
+         IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.enableKbTimer(t, kTimerVec);
@@ -841,8 +860,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.clearTimer(t);
              return std::make_pair(t, kTimerVec);
          },
-         1, 0, 1, 0, 0, 0},
-        {"abandonTimerDue on a running reprogram", Channel::KbTimer,
+         1, 0, 1, 0, 0, 0,
+         0xd04a4b145b6383ccull},
+        {"abandonTimerDue on a running reprogram", IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              rig.kernel.enableKbTimer(t, kTimerVec);
@@ -853,8 +873,9 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.setTimer(t, 5000, KbTimerMode::OneShot);
              return std::make_pair(t, kTimerVec);
          },
-         1, 0, 1, 0, 0, 0},
-        {"notifyArrived spurious scan", Channel::Uipi,
+         1, 0, 1, 0, 0, 0,
+         0xd04a4b145b6383ccull},
+        {"notifyArrived spurious scan", IntrSource::UserIpi,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              int idx = rig.kernel.registerSender(t, kUv);
@@ -864,10 +885,11 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.sim.runUntil(1000);
              return std::make_pair(t, kUv);
          },
-         1, 1, 0, 1, 0, 1},
+         1, 1, 0, 1, 0, 1,
+         0x31c57f2616afdf66ull},
         // The occupancy engine runs the handler at frame start but
         // books the delivery when the frame completes.
-        {"occupancy engine frame completion", Channel::Uipi,
+        {"occupancy engine frame completion", IntrSource::UserIpi,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
              int idx = rig.kernel.registerSender(t, kUv);
@@ -879,7 +901,8 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              EXPECT_TRUE(rig.kernel.engineIdle(t));
              return std::make_pair(t, kUv);
          },
-         1, 1, 0, 0, 0, 1},
+         1, 1, 0, 0, 0, 1,
+         0xd3c4b5ee76ba1dd6ull},
     };
 
     for (const LedgerSite &site : sites) {
@@ -889,12 +912,14 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
         EXPECT_EQ(rig.ledger.posted(), site.posted);
         EXPECT_EQ(rig.ledger.delivered(), site.delivered);
         EXPECT_EQ(rig.ledger.abandoned(), site.abandoned);
-        EXPECT_EQ(rig.ledger.spuriousScans(), site.spuriousScans);
+        EXPECT_EQ(rig.kernel.count(KernelStat::RecoverySpuriousScans),
+                  site.spuriousScans);
         EXPECT_EQ(rig.ledger.coalescedSatisfied(),
                   site.coalescedSatisfied);
         EXPECT_EQ(rig.ledger.outstanding(), 0u);
         EXPECT_EQ(rig.delivered, site.handlerRuns);
         EXPECT_TRUE(rig.ledger.ok());
+        EXPECT_EQ(rig.stream.digest.value(), site.stream);
 
         // One more post on the expected key strands it only if the
         // site delivered or abandoned under that key; under any other

@@ -21,7 +21,7 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "obs/trace_export.hh"
-#include "uarch/intr_observer.hh"
+#include "intr/intr_observer.hh"
 #include "uarch/uarch_system.hh"
 #include "verify/digest_tracer.hh"
 #include "workloads/kernels.hh"
