@@ -18,28 +18,30 @@
  *    first-failure reporting, table rendering, JSON export — are
  *    deterministic too;
  *  - `jobs == 1` runs everything inline on the calling thread with
- *    no pool and no synchronization: the exact legacy serial path,
- *    run(i) immediately followed by reduce(i).
+ *    no threads and no synchronization: the exact legacy serial
+ *    path, run(i) immediately followed by reduce(i).
  *
- * The reduction is streaming: job i is reduced as soon as it and
- * every lower-indexed job have finished, while higher-indexed jobs
- * are still executing.
+ * Otherwise `min(jobs, n)` workers each claim the next job index
+ * from one atomic counter, so jobs start in index order and a slow
+ * job never holds up the others. The reduction is streaming: job i
+ * is reduced as soon as it and every lower-indexed job have
+ * finished, while higher-indexed jobs are still executing.
  */
 
 #ifndef XUI_EXEC_SWEEP_HH
 #define XUI_EXEC_SWEEP_HH
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "exec/thread_pool.hh"
 
 namespace xui::exec
 {
@@ -64,7 +66,8 @@ bool parseJobs(const char *text, unsigned &jobs);
  * results in job-index order on the calling thread (see file
  * comment for the determinism contract). An exception thrown by a
  * job is rethrown to the caller from the lowest-indexed failing
- * job, after every in-flight job has drained.
+ * job; every job still runs, and the workers are joined before the
+ * exception leaves — from a throwing `reduce` too.
  */
 template <typename RunFn, typename ReduceFn>
 void
@@ -74,28 +77,33 @@ sweepReduce(std::size_t n, unsigned jobs, RunFn &&run,
     using R = std::invoke_result_t<RunFn &, std::size_t>;
     jobs = effectiveJobs(jobs);
     if (jobs <= 1 || n <= 1) {
-        // Legacy serial path: no pool, no threads, no locks.
+        // Legacy serial path: no threads, no locks.
         for (std::size_t i = 0; i < n; ++i)
             reduce(i, run(i));
         return;
     }
 
+    // Slot i is written only by the worker that claimed job i, and
+    // read only after that worker set `done` under `mu`.
     struct Slot
     {
         std::optional<R> result;
         std::exception_ptr error;
+        bool done = false;
     };
     std::vector<Slot> slots(n);
-    std::vector<char> done(n, 0);
     std::mutex mu;
-    std::condition_variable done_cv;
+    std::condition_variable doneCv;
+    std::atomic<std::size_t> next{0};
 
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, n)));
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&, i] {
-                Slot s;
+    // Declared last, so their destructors join them first.
+    std::vector<std::jthread> workers;
+    const std::size_t threads = std::min<std::size_t>(jobs, n);
+    workers.reserve(threads);
+    for (std::size_t w = 0; w < threads; ++w) {
+        workers.emplace_back([&] {
+            for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+                Slot &s = slots[i];
                 try {
                     s.result.emplace(run(i));
                 } catch (...) {
@@ -103,26 +111,23 @@ sweepReduce(std::size_t n, unsigned jobs, RunFn &&run,
                 }
                 {
                     std::lock_guard<std::mutex> lk(mu);
-                    slots[i] = std::move(s);
-                    done[i] = 1;
+                    s.done = true;
                 }
-                done_cv.notify_all();
-            });
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            Slot s;
-            {
-                std::unique_lock<std::mutex> lk(mu);
-                done_cv.wait(lk, [&] { return done[i] != 0; });
-                s = std::move(slots[i]);
+                doneCv.notify_one();
             }
-            if (s.error) {
-                pool.waitIdle();
-                std::rethrow_exception(s.error);
-            }
-            reduce(i, std::move(*s.result));
+        });
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        Slot &s = slots[i];
+        {
+            std::unique_lock<std::mutex> lk(mu);
+            doneCv.wait(lk, [&s] { return s.done; });
         }
-        pool.waitIdle();
+        if (s.error)
+            std::rethrow_exception(s.error);
+        reduce(i, std::move(*s.result));
+        s.result.reset();
     }
 }
 

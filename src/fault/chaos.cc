@@ -231,7 +231,7 @@ buildKbTimerPeriodic(Cell &c)
     c.poll = std::make_unique<PeriodicEvent>(
         c.sim.queue(), tick, [&c, t] {
             c.maybeFaultWindow(t, 0);
-            c.kernel.pollKbTimer(0, c.sim.now());
+            c.kernel.pollKbTimer(0);
             return true;
         });
     c.poll->startAfterPeriod();

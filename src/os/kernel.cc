@@ -817,7 +817,7 @@ Kernel::coreTimer(CoreId core)
 }
 
 bool
-Kernel::pollKbTimer(CoreId core_id, Cycles now)
+Kernel::pollKbTimer(CoreId core_id)
 {
     Core &core = cores_[core_id];
     if (fault_ != nullptr) {
@@ -837,7 +837,7 @@ Kernel::pollKbTimer(CoreId core_id, Cycles now)
             }
         }
     }
-    if (!core.timer.expired(now))
+    if (!core.timer.expired(sim_.now()))
         return false;
 
     // First observation of this expiry: account the post once.

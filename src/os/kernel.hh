@@ -309,10 +309,11 @@ class Kernel
 
     /**
      * Check whether the running thread's timer on `core` expired by
-     * `now`; if so acknowledge and invoke the thread's handler.
+     * the simulation clock; if so acknowledge and invoke the
+     * thread's handler.
      * @return true when an interrupt fired.
      */
-    bool pollKbTimer(CoreId core, Cycles now);
+    bool pollKbTimer(CoreId core);
 
     // ----- interrupt forwarding (§4.5) -----------------------------------
 

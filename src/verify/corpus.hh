@@ -6,7 +6,7 @@
  * cross-seed architectural-equivalence comparison against each
  * program's first seed.
  *
- * The sweep fans the (program, seed) grid out across a thread pool
+ * The sweep fans the (program, seed) grid out across worker threads
  * (exec::sweep) — every job owns its own UarchSystem, RNG streams,
  * digest tracer, and MetricsRegistry — and reduces in job-index
  * order, so the summary (counts, floating-point latency means,

@@ -8,19 +8,10 @@ namespace xui
 namespace
 {
 
-const char *
-strategyName(DeliveryStrategy s)
-{
-    switch (s) {
-      case DeliveryStrategy::Flush:
-        return "flush";
-      case DeliveryStrategy::Drain:
-        return "drain";
-      case DeliveryStrategy::Tracked:
-        return "tracked";
-    }
-    return "?";
-}
+/** Minimum common main-code commit prefix to compare. */
+constexpr std::size_t kMinPrefix = 1000;
+/** Minimum deliveries per mode before latency means compare. */
+constexpr std::uint64_t kMinDeliveries = 5;
 
 void
 collectModeViolations(const ScenarioResult &r, DeliveryStrategy s,
@@ -36,8 +27,7 @@ collectModeViolations(const ScenarioResult &r, DeliveryStrategy s,
 } // namespace
 
 DifferentialReport
-runDifferential(const ScenarioConfig &base,
-                const DifferentialOptions &opts)
+runDifferential(const ScenarioConfig &base)
 {
     DifferentialReport rep;
 
@@ -68,7 +58,7 @@ runDifferential(const ScenarioConfig &base,
     };
     for (const auto &p : pairs) {
         ArchEquivalenceReport eq =
-            checkArchEquivalence(*p.a, *p.b, opts.minPrefix);
+            checkArchEquivalence(*p.a, *p.b, kMinPrefix);
         if (!eq.ok) {
             std::ostringstream os;
             os << p.name << ": " << eq.message;
@@ -76,11 +66,10 @@ runDifferential(const ScenarioConfig &base,
         }
     }
 
-    if (rep.flush.delivered >= opts.minDeliveries &&
-        rep.tracked.delivered >= opts.minDeliveries) {
-        double bound = rep.flush.meanHandlerStartLatency *
-                opts.latencySlackFactor +
-            opts.latencySlackCycles;
+    if (rep.flush.delivered >= kMinDeliveries &&
+        rep.tracked.delivered >= kMinDeliveries) {
+        // Exact: no slack on the paper's Fig. 2 ordering.
+        const double bound = rep.flush.meanHandlerStartLatency;
         if (rep.tracked.meanHandlerStartLatency > bound) {
             std::ostringstream os;
             os << "latency ordering violated: tracked mean "

@@ -26,22 +26,6 @@
 namespace xui
 {
 
-/** Knobs for the latency-ordering check. */
-struct DifferentialOptions
-{
-    /** Minimum deliveries per mode before latency means compare. */
-    std::uint64_t minDeliveries = 5;
-    /**
-     * Slack on the tracked-vs-flush mean handler-start comparison:
-     * tracked must satisfy tracked <= flush * factor + cycles.
-     * Defaults are exact (the paper's claim, Fig. 2).
-     */
-    double latencySlackFactor = 1.0;
-    double latencySlackCycles = 0.0;
-    /** Minimum common main-code commit prefix to compare. */
-    std::size_t minPrefix = 1000;
-};
-
 /** Outcome of one three-way differential run. */
 struct DifferentialReport
 {
@@ -56,12 +40,14 @@ struct DifferentialReport
 /**
  * Run `base` under all three delivery strategies (the strategy
  * field of `base` is ignored) and check the cross-mode invariants.
+ * The PC streams compare over a common prefix of at least 1000
+ * main-code commits; the latency ordering compares once both flush
+ * and tracked delivered at least 5 interrupts, and is exact
+ * (tracked mean <= flush mean, the paper's Fig. 2 claim).
  * @pre base.program.deterministicControl — random-direction
  *      branches would make the PC streams legitimately diverge.
  */
-DifferentialReport
-runDifferential(const ScenarioConfig &base,
-                const DifferentialOptions &opts = {});
+DifferentialReport runDifferential(const ScenarioConfig &base);
 
 } // namespace xui
 

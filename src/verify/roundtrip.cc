@@ -16,20 +16,6 @@ constexpr DeliveryStrategy kStrategies[] = {
     DeliveryStrategy::Tracked,
 };
 
-const char *
-strategyName(DeliveryStrategy s)
-{
-    switch (s) {
-      case DeliveryStrategy::Flush:
-        return "flush";
-      case DeliveryStrategy::Drain:
-        return "drain";
-      case DeliveryStrategy::Tracked:
-        return "tracked";
-    }
-    return "?";
-}
-
 } // namespace
 
 ScenarioConfig

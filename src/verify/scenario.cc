@@ -9,6 +9,20 @@
 namespace xui
 {
 
+const char *
+strategyName(DeliveryStrategy s)
+{
+    switch (s) {
+      case DeliveryStrategy::Flush:
+        return "flush";
+      case DeliveryStrategy::Drain:
+        return "drain";
+      case DeliveryStrategy::Tracked:
+        return "tracked";
+    }
+    return "?";
+}
+
 void
 checkInterruptFacts(const CoreStats &s,
                     std::vector<std::string> &violations)

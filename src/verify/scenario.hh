@@ -31,6 +31,10 @@ namespace xui
 
 class UarchSystem;
 
+/** Lower-case name of a delivery strategy ("flush", "drain",
+ *  "tracked") for reports and snapshot file names. */
+const char *strategyName(DeliveryStrategy s);
+
 /** One verification workload, fully reproducible from this struct. */
 struct ScenarioConfig
 {

@@ -374,7 +374,7 @@ runFourChannels(std::uint64_t seed, FourChannelRun &out)
     // KB timer needs its core polled; tick fast enough to observe
     // every firing window.
     PeriodicEvent poll(sim.queue(), 97, [&] {
-        kernel.pollKbTimer(0, sim.now());
+        kernel.pollKbTimer(0);
         return true;
     });
     poll.startAfterPeriod();

@@ -308,20 +308,6 @@ const CorpusGolden kCorpusGoldens[] = {
     {32, DeliveryStrategy::Tracked, 0xbf1791a8d2b474aeull, 0x1f973b6049967371ull, 64641, 15, 7318, 9435},
 };
 
-const char *
-strategyName(DeliveryStrategy s)
-{
-    switch (s) {
-      case DeliveryStrategy::Flush:
-        return "Flush";
-      case DeliveryStrategy::Drain:
-        return "Drain";
-      case DeliveryStrategy::Tracked:
-        return "Tracked";
-    }
-    return "?";
-}
-
 } // namespace
 
 TEST(GoldenCorpus, DigestsPinnedAcrossSeedsAndModes)

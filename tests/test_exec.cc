@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep engine (src/exec):
- * the work-stealing thread pool, ordered fan-out/reduce under
- * artificially shuffled completion, strict `--jobs` parsing, and
+ * ordered fan-out/reduce under artificially shuffled completion,
+ * worker placement and joining, strict `--jobs` parsing, and
  * the engine's end-to-end contract on the verify corpus — summary,
  * rendered report, and merged metrics JSON bit-identical between
  * `--jobs 1` and `--jobs 8`, with the first reported divergence
@@ -21,65 +21,9 @@
 #include <vector>
 
 #include "exec/sweep.hh"
-#include "exec/thread_pool.hh"
 #include "verify/corpus.hh"
 
 using namespace xui;
-
-// ----------------------------------------------------------------------
-// ThreadPool
-// ----------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    exec::ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable)
-{
-    exec::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 1);
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        exec::ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-                ran.fetch_add(1);
-            });
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, TasksRunOffTheSubmittingThread)
-{
-    exec::ThreadPool pool(2);
-    const std::thread::id self = std::this_thread::get_id();
-    std::atomic<bool> off_thread{false};
-    pool.submit([&] {
-        off_thread = std::this_thread::get_id() != self;
-    });
-    pool.waitIdle();
-    EXPECT_TRUE(off_thread.load());
-}
 
 // ----------------------------------------------------------------------
 // sweep / sweepReduce determinism contract
@@ -181,6 +125,43 @@ TEST(Sweep, LowestIndexExceptionPropagates)
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "boom 2");
     }
+}
+
+TEST(Sweep, RunsOffTheCallingThreadWhenParallel)
+{
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<char> offThread = exec::sweep(
+        8, 2, [self](std::size_t) -> char {
+            return std::this_thread::get_id() != self;
+        });
+    for (char off : offThread)
+        EXPECT_TRUE(off);
+}
+
+TEST(Sweep, ThrowingReduceJoinsWorkers)
+{
+    // A reduce that throws must not leave a worker running (that
+    // would be std::terminate or a use-after-return): the exception
+    // leaves only after every job has run.
+    std::atomic<int> ran{0};
+    try {
+        exec::sweepReduce(
+            64, 4,
+            [&](std::size_t i) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+                ran.fetch_add(1);
+                return i;
+            },
+            [](std::size_t i, std::size_t) {
+                if (i == 1)
+                    throw std::runtime_error("reduce 1");
+            });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "reduce 1");
+    }
+    EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(Sweep, SerialExceptionPropagates)

@@ -530,12 +530,14 @@ TEST(KernelFault, TimerMisfireRedeliveredLate)
     fault::Injector inj(s);
     rig.kernel.setFaultInjector(&inj);
 
-    EXPECT_FALSE(rig.kernel.pollKbTimer(0, 1500));  // misfire
+    rig.sim.runUntil(1500);
+    EXPECT_FALSE(rig.kernel.pollKbTimer(0));  // misfire
     EXPECT_EQ(rig.delivered, 0u);
     EXPECT_EQ(
         counterOf(rig.metrics, "kernel.fault.kbtimer_misfire"), 1u);
 
-    EXPECT_TRUE(rig.kernel.pollKbTimer(0, 1600));  // late redelivery
+    rig.sim.runUntil(1600);
+    EXPECT_TRUE(rig.kernel.pollKbTimer(0));  // late redelivery
     EXPECT_EQ(rig.delivered, 1u);
     EXPECT_EQ(counterOf(rig.metrics, "kernel.recovery.kbtimer_late"),
               1u);
@@ -555,7 +557,8 @@ TEST(KernelFault, TimerMisfireDeliveredOnResumeAfterSwitch)
     fault::Injector inj(s);
     rig.kernel.setFaultInjector(&inj);
 
-    EXPECT_FALSE(rig.kernel.pollKbTimer(0, 1500));  // misfire
+    rig.sim.runUntil(1500);
+    EXPECT_FALSE(rig.kernel.pollKbTimer(0));  // misfire
     rig.kernel.deschedule(t);  // due expiry travels with the thread
     EXPECT_EQ(rig.delivered, 0u);
 
@@ -582,7 +585,7 @@ TEST(KernelFault, DelayedTimerFireCancelledByClearIsAbandoned)
     rig.kernel.setFaultInjector(&inj);
 
     rig.sim.queue().scheduleAt(1500, [&] {
-        EXPECT_FALSE(rig.kernel.pollKbTimer(0, 1500));  // delayed
+        EXPECT_FALSE(rig.kernel.pollKbTimer(0));  // delayed
         rig.kernel.clearTimer(t);  // cancels the in-flight fire
     });
     rig.sim.runUntil(1u << 20);
@@ -632,7 +635,8 @@ TEST(KernelFault, DisabledFabricKeepsLedgerClean)
 
     rig.kernel.senduipi(idx);
     rig.kernel.deviceInterrupt(0, static_cast<unsigned>(vec));
-    rig.kernel.pollKbTimer(0, 150);
+    rig.sim.runUntil(150);
+    rig.kernel.pollKbTimer(0);
     rig.kernel.deschedule(t);
     rig.kernel.scheduleOn(t, 1);
     EXPECT_EQ(rig.delivered, 3u);
@@ -743,11 +747,12 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              ThreadId t = rig.receiver(0);
              rig.kernel.enableKbTimer(t, kTimerVec);
              rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
-             rig.kernel.pollKbTimer(0, 1500);
+             rig.sim.runUntil(1500);
+             rig.kernel.pollKbTimer(0);
              return std::make_pair(t, kTimerVec);
          },
          1, 1, 0, 0, 0, 1,
-         0x5b8e7b6cf7e62364ull},
+         0xe89be42d871603dfull},
         // A delayed fire that lands on another thread's expired timer
         // runs that thread's handler unbooked; the first thread's
         // observed expiry travels with it and is booked on resume.
@@ -764,7 +769,7 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              inj = injectOnce(rig, fault::Site::KbTimerFire,
                               fault::Action::Delay, 500);
              rig.sim.queue().scheduleAt(1500, [&rig, a, b] {
-                 rig.kernel.pollKbTimer(0, 1500);
+                 rig.kernel.pollKbTimer(0);
                  rig.kernel.deschedule(a);
                  rig.kernel.scheduleOn(b, 0);
              });
@@ -840,13 +845,14 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
              inj = injectOnce(rig, fault::Site::KbTimerFire,
                               fault::Action::Drop, 0);
-             rig.kernel.pollKbTimer(0, 1500);
+             rig.sim.runUntil(1500);
+             rig.kernel.pollKbTimer(0);
              rig.kernel.deschedule(t);
              rig.kernel.setTimer(t, 5000, KbTimerMode::OneShot);
              return std::make_pair(t, kTimerVec);
          },
          1, 0, 1, 0, 0, 0,
-         0xd04a4b145b6383ccull},
+         0x2ceb6267557eac18ull},
         {"clearTimer abandons a descheduled due expiry",
          IntrSource::KbTimer,
          [&](KernelRig &rig) {
@@ -855,13 +861,14 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
              inj = injectOnce(rig, fault::Site::KbTimerFire,
                               fault::Action::Drop, 0);
-             rig.kernel.pollKbTimer(0, 1500);
+             rig.sim.runUntil(1500);
+             rig.kernel.pollKbTimer(0);
              rig.kernel.deschedule(t);
              rig.kernel.clearTimer(t);
              return std::make_pair(t, kTimerVec);
          },
          1, 0, 1, 0, 0, 0,
-         0xd04a4b145b6383ccull},
+         0x2ceb6267557eac18ull},
         {"abandonTimerDue on a running reprogram", IntrSource::KbTimer,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);
@@ -869,12 +876,13 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
              inj = injectOnce(rig, fault::Site::KbTimerFire,
                               fault::Action::Drop, 0);
-             rig.kernel.pollKbTimer(0, 1500);
+             rig.sim.runUntil(1500);
+             rig.kernel.pollKbTimer(0);
              rig.kernel.setTimer(t, 5000, KbTimerMode::OneShot);
              return std::make_pair(t, kTimerVec);
          },
          1, 0, 1, 0, 0, 0,
-         0xd04a4b145b6383ccull},
+         0x2ceb6267557eac18ull},
         {"notifyArrived spurious scan", IntrSource::UserIpi,
          [&](KernelRig &rig) {
              ThreadId t = rig.receiver(0);

@@ -161,11 +161,14 @@ TEST_F(KernelFixture, PollFiresHandler)
     kernel.enableKbTimer(t, 0x21);
     kernel.scheduleOn(t, 0);
     kernel.setTimer(t, 100, KbTimerMode::Periodic);
-    EXPECT_FALSE(kernel.pollKbTimer(0, 50));
-    EXPECT_TRUE(kernel.pollKbTimer(0, 100));
+    sim.runUntil(50);
+    EXPECT_FALSE(kernel.pollKbTimer(0));
+    sim.runUntil(100);
+    EXPECT_TRUE(kernel.pollKbTimer(0));
     EXPECT_EQ(fires, 1);
     // Periodic: rearmed for the next period.
-    EXPECT_TRUE(kernel.pollKbTimer(0, 200));
+    sim.runUntil(200);
+    EXPECT_TRUE(kernel.pollKbTimer(0));
     EXPECT_EQ(fires, 2);
 }
 
@@ -181,7 +184,8 @@ TEST_F(KernelFixture, TimerSavedAcrossContextSwitch)
     // Switch to b: a's timer must not fire for b.
     kernel.scheduleOn(b, 0);
     EXPECT_FALSE(kernel.coreTimer(0).armed());
-    EXPECT_FALSE(kernel.pollKbTimer(0, 5000));
+    sim.runUntil(5000);
+    EXPECT_FALSE(kernel.pollKbTimer(0));
 }
 
 TEST_F(KernelFixture, MissedDeadlineDeliveredOnResume)

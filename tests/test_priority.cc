@@ -761,6 +761,80 @@ TEST(BoundChecker, MeasuresFromEngineArrivalNotPost)
     EXPECT_TRUE(checker.ok());
 }
 
+namespace
+{
+
+/**
+ * Feeds a BoundChecker from the post (Raise) rather than the engine
+ * arrival (Accept), so the lag a moderation window adds between the
+ * two counts toward the observed latency.
+ */
+struct PostToFrameFeed : IntrLifecycleObserver
+{
+    explicit PostToFrameFeed(BoundChecker &c) : checker(c) {}
+
+    void intrStage(IntrStage stage, std::uint64_t, IntrSource,
+                   std::uint8_t vector, Cycles cycle,
+                   unsigned) override
+    {
+        if (stage == IntrStage::Raise)
+            checker.onRaise(vector, cycle);
+        else if (stage == IntrStage::Deliver)
+            checker.onDeliver(vector, cycle);
+    }
+
+    BoundChecker &checker;
+};
+
+} // namespace
+
+TEST(BoundChecker, ModerationWindowIsPartOfTheBound)
+{
+    // A resident receiver with a costed handler behind a 2000-cycle
+    // coalescing window: each post waits out the window, so it
+    // starts its frame 2000 cycles after the post. The bound covers
+    // that lag only through the profile's moderation term.
+    constexpr unsigned kVec = 9;
+    constexpr Cycles kWindow = 2000;
+    auto run = [&](Cycles profiledWindow) {
+        Simulation sim(3);
+        CostModel costs;
+        Kernel kernel(sim, costs, 2);
+        VectorProfile profile{kVec, 0, 300, 0, profiledWindow};
+        std::vector<DeliveryBound> bounds =
+            computeDeliveryBounds(costs, {profile});
+        BoundChecker checker;
+        checker.setBound(kVec, 0, bounds[0].bound);
+        PostToFrameFeed feed(checker);
+        kernel.setIntrObserver(&feed);
+
+        ThreadId recv = kernel.createThread();
+        kernel.registerHandler(recv, [](unsigned) {});
+        kernel.scheduleOn(recv, 0);
+        int idx = kernel.registerSender(recv, kVec);
+        kernel.setHandlerCost(recv, kVec, profile.handlerCost);
+        ModerationParams mp;
+        mp.coalesceWindow = kWindow;
+        kernel.setModeration(recv, kVec, mp);
+
+        for (Cycles at : {Cycles(1000), Cycles(20000)})
+            sim.queue().scheduleAt(at, [&kernel, idx] {
+                kernel.senduipi(idx);
+            });
+        sim.runUntil(50000);
+        EXPECT_EQ(checker.matched(), 2u);
+        EXPECT_EQ(checker.maxObservedVector(kVec), kWindow);
+        return checker.violations();
+    };
+
+    EXPECT_TRUE(run(kWindow).empty());
+    // Without the window the bound is the bare path cost, shorter
+    // than the moderation lag: both deliveries violate it.
+    std::vector<std::string> violations = run(0);
+    ASSERT_EQ(violations.size(), 2u);
+    EXPECT_NE(violations[0].find("exceeds bound"), std::string::npos);
+}
+
 TEST(BoundChecker, WithinBoundStaysClean)
 {
     BoundChecker checker;
