@@ -1,6 +1,10 @@
 #include "net/lpm.hh"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <new>
 
 namespace xui
 {
@@ -41,16 +45,68 @@ paintBlock(std::uint16_t *entry, std::uint16_t fresh)
         entry[k] = takes(fresh, entry[k]) ? fresh : entry[k];
 }
 
+constexpr std::size_t kTbl24Slots = std::size_t{1} << 24;
+constexpr std::size_t kTbl24Bytes = kTbl24Slots * sizeof(std::uint16_t);
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+/** The PROT_NONE page kept after tbl24. */
+std::size_t
+guardBytes()
+{
+    return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/**
+ * Map a zeroed tbl24 on a 2 MiB boundary with a guard page after it:
+ * over-map by one huge page, trim the head and the tail past the
+ * guard, then ask for huge pages and prefault the table. The madvise
+ * calls are hints; when either fails the kernel still zero-fills
+ * each page on first touch.
+ */
+std::uint16_t *
+mapTbl24()
+{
+    const std::size_t guard = guardBytes();
+    void *raw = mmap(nullptr, kTbl24Bytes + kHugePage,
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    if (raw == MAP_FAILED)
+        throw std::bad_alloc();
+    auto *base = static_cast<char *>(raw);
+    const auto addr = reinterpret_cast<std::uintptr_t>(raw);
+    const std::size_t head = (kHugePage - addr % kHugePage) % kHugePage;
+    char *table = base + head;
+    // head is a whole number of pages below kHugePage, so the tail
+    // (kHugePage - head) holds at least the guard page.
+    if (head)
+        munmap(base, head);
+    if (kHugePage - head > guard)
+        munmap(table + kTbl24Bytes + guard, kHugePage - head - guard);
+    if (mprotect(table + kTbl24Bytes, guard, PROT_NONE) != 0) {
+        munmap(table, kTbl24Bytes + guard);
+        throw std::bad_alloc();
+    }
+    madvise(table, kTbl24Bytes, MADV_HUGEPAGE);
+    madvise(table, kTbl24Bytes, MADV_POPULATE_WRITE);
+    return reinterpret_cast<std::uint16_t *>(table);
+}
+
 } // namespace
 
 LpmTable::LpmTable(unsigned max_tbl8_groups)
-    : tbl24_(1u << 24, 0),
+    : tbl24Map_(mapTbl24()), tbl24_(tbl24Map_.get(), kTbl24Slots),
       tbl8_(static_cast<std::size_t>(
                 std::min(max_tbl8_groups, kMaxTbl8Groups)) *
             256),
       tbl8Next_(0),
       routeCount_(0)
 {}
+
+void
+LpmTable::Unmap::operator()(std::uint16_t *table) const
+{
+    munmap(table, kTbl24Bytes + guardBytes());
+}
 
 bool
 LpmTable::addRoute(std::uint32_t prefix, unsigned depth,

@@ -562,7 +562,6 @@ TEST(KernelFault, TimerMisfireDeliveredOnResumeAfterSwitch)
     rig.kernel.deschedule(t);  // due expiry travels with the thread
     EXPECT_EQ(rig.delivered, 0u);
 
-    rig.sim.queue().scheduleAt(2000, [] {});
     rig.sim.runUntil(2000);
     rig.kernel.scheduleOn(t, 1);  // restore-missed path delivers
     EXPECT_EQ(rig.delivered, 1u);
@@ -667,14 +666,6 @@ struct LedgerSite
     std::uint64_t stream;
 };
 
-/** Advance the simulation clock to `at` with nothing else to run. */
-void
-advanceTo(KernelRig &rig, Cycles at)
-{
-    rig.sim.queue().scheduleAt(at, [] {});
-    rig.sim.runUntil(at);
-}
-
 /** A fault injector that applies one directive. */
 std::unique_ptr<fault::Injector>
 injectOnce(KernelRig &rig, fault::Site site, fault::Action action,
@@ -724,7 +715,7 @@ TEST(KernelLedger, EverySiteBooksItsOwnKey)
              rig.kernel.enableKbTimer(t, kTimerVec);
              rig.kernel.setTimer(t, 1000, KbTimerMode::OneShot);
              rig.kernel.deschedule(t);
-             advanceTo(rig, 2000);
+             rig.sim.runUntil(2000);
              rig.kernel.scheduleOn(t, 1);
              return std::make_pair(t, kTimerVec);
          },

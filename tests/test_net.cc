@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -221,6 +222,27 @@ TEST(Lpm, Tbl8GroupIndexFitsEntry)
     EXPECT_EQ(t.lookup(ip(0, 0, 0, 1)), LpmTable::kNoRoute);
     EXPECT_EQ(t.lookup(ip(0, 0, 0, 129)), 1);
     EXPECT_EQ(t.lookup((0x4000u << 8) | 129), LpmTable::kNoRoute);
+}
+
+// tbl24 is one mapping of 16 2 MiB pages that the kernel zeroes; no
+// slot is written before a route paints it. A /1 paints up to the
+// last slot, which the guard page after the table directly follows.
+TEST(Lpm, FreshTableMissesAtEveryHugePageEdge)
+{
+    static_assert(!std::is_copy_constructible_v<LpmTable>);
+    static_assert(std::is_nothrow_move_constructible_v<LpmTable>);
+    constexpr std::uint32_t kSlotsPerPage = 1u << 20;
+    LpmTable t;
+    for (std::uint32_t page = 0; page < 16; ++page) {
+        const std::uint32_t first = page * kSlotsPerPage;
+        const std::uint32_t last = first + kSlotsPerPage - 1;
+        EXPECT_EQ(t.lookup(first << 8), LpmTable::kNoRoute) << page;
+        EXPECT_EQ(t.lookup(last << 8 | 0xff), LpmTable::kNoRoute) << page;
+    }
+    ASSERT_TRUE(t.addRoute(0x80000000u, 1, 7));
+    EXPECT_EQ(t.lookup(0xffffffffu), 7);
+    EXPECT_EQ(t.lookup(0x80000000u), 7);
+    EXPECT_EQ(t.lookup(0x7fffffffu), LpmTable::kNoRoute);
 }
 
 class LpmOracleProperty : public ::testing::TestWithParam<std::uint64_t>
