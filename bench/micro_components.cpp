@@ -13,6 +13,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "des/event_queue.hh"
 #include "intr/bitset256.hh"
 #include "kv/skiplist.hh"
@@ -122,6 +124,67 @@ BM_EventQueueChurn(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueChurn);
+
+/**
+ * The schedule/cancel re-arm of timeout-driven servers (bench/perf
+ * des_apps' churn part): 8 watchdogs each re-arm every 50-150
+ * cycles, cancelling a 500-1500-cycle timeout that therefore never
+ * fires. One iteration fires one re-arm: a pop, a cancel and two
+ * schedules.
+ */
+static void
+BM_EventQueueTimeoutChurn(benchmark::State &state)
+{
+    struct Watchdog
+    {
+        EventQueue &q;
+        Rng rng;
+        EventId timeout = kInvalidEventId;
+
+        void
+        arm()
+        {
+            q.cancel(timeout);
+            timeout = q.scheduleAfter(500 + rng.nextBounded(1000), [] {});
+            q.scheduleAfter(50 + rng.nextBounded(100), [this] { arm(); });
+        }
+    };
+    EventQueue q;
+    std::vector<Watchdog> dogs;
+    dogs.reserve(8);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        dogs.push_back(Watchdog{q, Rng(11 + i)});
+        dogs.back().arm();
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(q.runOne());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTimeoutChurn);
+
+/**
+ * l3fwd's shape: 23k arrivals scheduled up front over a 5 ms window,
+ * then drained in time order. Items are events.
+ */
+static void
+BM_EventQueueDeep(benchmark::State &state)
+{
+    constexpr std::size_t kEvents = 23'000;
+    Rng rng(23);
+    std::vector<Cycles> offsets(kEvents);
+    for (Cycles &o : offsets)
+        o = rng.nextBounded(5 * kCyclesPerMs);
+    EventQueue q;
+    for (auto _ : state) {
+        const Cycles base = q.now();
+        for (Cycles o : offsets)
+            q.scheduleAt(base + o, [] {});
+        benchmark::DoNotOptimize(q.runAll());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_EventQueueDeep)->Unit(benchmark::kMicrosecond);
 
 static void
 BM_CacheAccess(benchmark::State &state)

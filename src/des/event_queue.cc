@@ -15,22 +15,56 @@ EventQueue::allocEvent()
 {
     if (freeHead_ != kNil) {
         std::uint32_t idx = freeHead_;
-        freeHead_ = pool_[idx].next;
+        freeHead_ = slots_[idx].pos;
         return idx;
     }
-    pool_.emplace_back();
-    return static_cast<std::uint32_t>(pool_.size() - 1);
+    slots_.emplace_back();
+    cbs_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void
 EventQueue::freeEvent(std::uint32_t idx)
 {
-    Event &e = pool_[idx];
-    e.cb.reset();
-    if (++e.gen == 0)
-        e.gen = 1;
-    e.next = freeHead_;
+    cbs_[idx].reset();
+    Slot &s = slots_[idx];
+    if (++s.gen == 0)
+        s.gen = 1;
+    s.pos = freeHead_;
     freeHead_ = idx;
+}
+
+void
+EventQueue::siftUp(std::size_t hole, const Entry &x)
+{
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / 2;
+        if (!(x < heap_[parent]))
+            break;
+        place(hole, heap_[parent]);
+        hole = parent;
+    }
+    place(hole, x);
+}
+
+void
+EventQueue::removeAt(std::size_t pos)
+{
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (pos == n)
+        return;
+    // Walk the hole down to a leaf along the smaller children (one
+    // compare per level), then sift the last entry up from there.
+    // It comes from another subtree, so it may rise above pos.
+    std::size_t hole = pos;
+    for (std::size_t child; (child = 2 * hole + 1) < n; hole = child) {
+        if (child + 1 < n && heap_[child + 1] < heap_[child])
+            ++child;
+        place(hole, heap_[child]);
+    }
+    siftUp(hole, last);
 }
 
 EventId
@@ -38,69 +72,53 @@ EventQueue::scheduleImpl(Cycles when, SmallCallback cb)
 {
     assert(when >= now_ && "cannot schedule in the past");
     std::uint32_t idx = allocEvent();
-    Event &e = pool_[idx];
-    e.cb = std::move(cb);
-    heap_.push_back(Entry{when, nextSeq_++, idx, e.gen});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    cbs_[idx] = std::move(cb);
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, Entry{when, nextSeq_++, idx});
     ++live_;
-    return makeId(idx, e.gen);
+    return makeId(idx, slots_[idx].gen);
 }
 
 bool
 EventQueue::cancel(EventId id)
 {
-    if (id == kInvalidEventId)
-        return false;
+    // Generations start at 1 and skip 0, so kInvalidEventId fails
+    // the generation check.
     std::uint32_t idx = static_cast<std::uint32_t>(id);
     std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (idx >= pool_.size() || pool_[idx].gen != gen)
+    if (idx >= slots_.size())
+        return false;
+    // A free slot's pos is a free-list link, so the generation alone
+    // does not prove the slot live: its pos must also name a heap
+    // entry that names the slot back.
+    const Slot s = slots_[idx];
+    if (s.gen != gen || s.pos >= heap_.size() || heap_[s.pos].slot != idx)
         return false;
     freeEvent(idx);
+    removeAt(s.pos);
     assert(live_ > 0);
     --live_;
-    // Without this, schedule/cancel churn would grow the heap by one
-    // stale entry per pair, however few events are ever pending.
-    if (heap_.size() > 2 * live_ + 64) {
-        std::erase_if(heap_, [this](const Entry &x) { return stale(x); });
-        std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    }
     return true;
-}
-
-bool
-EventQueue::dropStaleTop()
-{
-    while (!heap_.empty() && stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-    }
-    return !heap_.empty();
 }
 
 bool
 EventQueue::runOne()
 {
-    if (!dropStaleTop())
+    if (heap_.empty())
         return false;
     const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
+    removeAt(0);
     assert(top.when >= now_);
     now_ = top.when;
-    SmallCallback cb = std::move(pool_[top.slot].cb);
+    SmallCallback cb = std::move(cbs_[top.slot]);
+    const std::uint32_t gen = slots_[top.slot].gen;
     freeEvent(top.slot);
     --live_;
     ++fired_;
     if (fireHook_)
-        fireHook_(makeId(top.slot, top.gen), top.when);
+        fireHook_(makeId(top.slot, gen), top.when);
     cb();
     return true;
-}
-
-Cycles
-EventQueue::peekNextTime()
-{
-    return dropStaleTop() ? heap_.front().when : kNoPending;
 }
 
 std::vector<EventQueue::PendingEvent>
@@ -111,11 +129,9 @@ EventQueue::pendingSnapshot(std::size_t max) const
     };
     std::vector<PendingEvent> out;
     if (max == 0) {
-        out.reserve(live_);
-        for (const Entry &x : heap_) {
-            if (!stale(x))
-                out.push_back(PendingEvent{x.when, x.seq});
-        }
+        out.reserve(heap_.size());
+        for (const Entry &x : heap_)
+            out.push_back(PendingEvent{x.when, x.seq});
         std::sort(out.begin(), out.end(), less);
         return out;
     }
@@ -126,8 +142,6 @@ EventQueue::pendingSnapshot(std::size_t max) const
     // (it can trip repeatedly: rollback-retry re-runs the cell).
     out.reserve(max);
     for (const Entry &x : heap_) {
-        if (stale(x))
-            continue;
         PendingEvent p{x.when, x.seq};
         if (out.size() < max) {
             out.push_back(p);
@@ -146,12 +160,8 @@ std::uint64_t
 EventQueue::runUntil(Cycles limit)
 {
     std::uint64_t executed = 0;
-    for (;;) {
-        Cycles w = peekNextTime();
-        if (w == kNoPending || w > limit)
-            break;
-        if (!runOne())
-            break;
+    while (!heap_.empty() && heap_.front().when <= limit) {
+        runOne();
         ++executed;
     }
     if (now_ < limit)

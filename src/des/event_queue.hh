@@ -2,17 +2,21 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * One binary min-heap of (when, seq) keys. Events live in a
- * free-listed pool (reused in place, no per-event heap allocation)
- * and carry their callback in small-buffer storage. A heap entry
- * holds its key inline beside the pool slot and generation, so
- * ordering never reads the pool. Handles are generation-checked:
- * cancel frees the slot at once and bumps its generation, which
- * turns the event's heap entry stale and makes a repeated cancel
- * return false instead of corrupting the pending count. Stale
- * entries are dropped when they reach the top, and compacted away
- * once they outnumber live events by more than 64, so
- * schedule/cancel churn bounds the heap as well as the pool.
+ * One indexed binary min-heap of (when, seq) keys. A heap entry
+ * holds its key inline beside its pool slot, so ordering never reads
+ * the pool. The pool is split by temperature: a vector of 8-byte
+ * slots (generation plus heap position, or free-list link) that
+ * every sift step writes, and a deque of callbacks in small-buffer
+ * storage that only schedule, cancel and fire touch. Slots are
+ * free-listed and reused in place, so there is no per-event heap
+ * allocation.
+ *
+ * Handles are generation-checked. Cancel frees the slot, bumps its
+ * generation and removes the event's heap entry at once (the hole
+ * walks down to a leaf and the last entry sifts up into it, as a
+ * pop does), so the heap always holds exactly the pending events. A
+ * repeated cancel, a fired handle and a handle naming a free slot
+ * all return false.
  *
  * Events scheduled for the same cycle fire in scheduling order: a
  * monotonically increasing sequence number is assigned at schedule
@@ -150,7 +154,7 @@ class SmallCallback
     const Ops *ops_ = nullptr;
 };
 
-/** Binary-heap event queue with stable same-cycle ordering. */
+/** Indexed binary-heap event queue with stable same-cycle ordering. */
 class EventQueue
 {
   public:
@@ -185,10 +189,10 @@ class EventQueue
     }
 
     /**
-     * Cancel a previously scheduled event: the slot is reclaimed
-     * immediately and its heap entry left behind as stale.
-     * @return true if the event was still pending (stale, fired,
-     *         cancelled, and invalid handles all return false).
+     * Cancel a previously scheduled event: its slot is reclaimed and
+     * its heap entry removed immediately.
+     * @return true if the event was still pending (fired, cancelled,
+     *         invalid and never-issued handles all return false).
      */
     bool cancel(EventId id);
 
@@ -215,11 +219,13 @@ class EventQueue
 
     /**
      * Exact fire time of the next pending event without firing it
-     * (kNoPending when the queue is empty). Non-const: drops stale
-     * entries off the top of the heap, which the firing order cannot
-     * observe.
+     * (kNoPending when the queue is empty): the heap's top.
      */
-    Cycles peekNextTime();
+    Cycles
+    peekNextTime() const
+    {
+        return heap_.empty() ? kNoPending : heap_.front().when;
+    }
 
     /** One pending event, as seen by diagnostics. */
     struct PendingEvent
@@ -260,39 +266,37 @@ class EventQueue
      * both reclaim, so schedule/cancel churn cannot grow it
      * (regression guard for the old lazy-cancel leak).
      */
-    std::size_t poolSize() const { return pool_.size(); }
+    std::size_t poolSize() const { return slots_.size(); }
 
     /**
-     * Heap entries, live and stale. Cancel leaves its entry behind
-     * until it reaches the top or compaction runs, which keeps this
-     * within 2 * pending() + 64 after every cancel.
+     * Heap entries. Counted apart from pending(), which schedule,
+     * cancel and fire keep on their own; the two agree because
+     * cancel removes its entry at once.
      */
     std::size_t heapSize() const { return heap_.size(); }
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
-    struct Event
+    /** Hot half of a pool slot; the callback is in cbs_. */
+    struct Slot
     {
-        SmallCallback cb;
         std::uint32_t gen = 1;
-        /** Free-list link. */
-        std::uint32_t next = kNil;
+        /** Heap position while live, free-list link while free. */
+        std::uint32_t pos = kNil;
     };
 
-    /** Heap key with the slot it orders; stale once the slot's
-     * generation moves on. */
+    /** Heap key with the slot it orders. */
     struct Entry
     {
         Cycles when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
 
         friend bool
-        operator>(const Entry &a, const Entry &b)
+        operator<(const Entry &a, const Entry &b)
         {
-            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+            return a.when != b.when ? a.when < b.when : a.seq < b.seq;
         }
     };
 
@@ -305,13 +309,24 @@ class EventQueue
     EventId scheduleImpl(Cycles when, SmallCallback cb);
     std::uint32_t allocEvent();
     void freeEvent(std::uint32_t idx);
-    bool stale(const Entry &x) const { return pool_[x.slot].gen != x.gen; }
-    /** Pop stale entries off the top; true when a live one remains. */
-    bool dropStaleTop();
+    /** Store x at heap position pos and record pos in its slot. */
+    void
+    place(std::size_t pos, const Entry &x)
+    {
+        heap_[pos] = x;
+        slots_[x.slot].pos = static_cast<std::uint32_t>(pos);
+    }
+    /** Fill the hole with x, moving x toward the root. */
+    void siftUp(std::size_t hole, const Entry &x);
+    /** Remove the heap entry at pos. */
+    void removeAt(std::size_t pos);
 
-    std::deque<Event> pool_;
+    std::vector<Slot> slots_;
+    /** Callbacks by slot. A deque: growing it never copies, so l3fwd's
+     * ~23k pending events do not pay a doubling's peak memory. */
+    std::deque<SmallCallback> cbs_;
     std::uint32_t freeHead_ = kNil;
-    /** Min-heap under std::greater. */
+    /** Min-heap on (when, seq). */
     std::vector<Entry> heap_;
 
     FireHook fireHook_;

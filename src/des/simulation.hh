@@ -40,9 +40,10 @@ class Simulation
      * EventQueue::kNoPending when the queue is idle. The coarse
      * wakeup primitive for hybrid co-simulation: a fast-forwarding
      * cycle tier can bulk-advance to just short of this time instead
-     * of interleaving with an idle DES tier every cycle.
+     * of interleaving with an idle DES tier every cycle. O(1) and
+     * const: the queue's heap holds pending events only.
      */
-    Cycles nextEventAt() { return queue_.peekNextTime(); }
+    Cycles nextEventAt() const { return queue_.peekNextTime(); }
 
   private:
     EventQueue queue_;

@@ -9,10 +9,11 @@
  *    (when, seq)-ordered reference model, with delays from single
  *    cycles to beyond 2^30, and an open-loop run that holds 20k
  *    events pending;
- *  - targeted unit tests for the contract edges the original
- *    lazy-cancel binary heap got wrong (cancel of a fired handle
- *    corrupted the live count; cancelled events kept their storage
- *    until their fire time);
+ *  - targeted unit tests for the contract edges the lazy-cancel
+ *    heaps got wrong (cancel of a fired handle, or of a free slot
+ *    under a generation never issued, corrupted the live count;
+ *    cancelled events kept their storage or heap entry until their
+ *    fire time);
  *  - a pinned DES-tier golden workload whose firing digest was
  *    captured while both the old and the new implementation were
  *    built side by side and verified to agree event for event.
@@ -335,6 +336,32 @@ TEST(EventQueueProperties, GenerationReuseNeverResurrects)
     EXPECT_FALSE(q.cancel(b));
 }
 
+TEST(EventQueueProperties, CancelOfUnissuedGenerationIsInert)
+{
+    // A handle that names a real slot under a generation no
+    // schedule has issued must not cancel anything. The lazy-cancel
+    // heap accepted one for a free slot: the pending count wrapped
+    // to 2^64 - 1 and the next two schedules shared one handle, of
+    // which only one event fired.
+    EventQueue q;
+    EventId a = q.scheduleAt(10, [] {});
+    EXPECT_TRUE(q.cancel(a));
+    const EventId nextGen = EventId{1} << 32;
+    EXPECT_FALSE(q.cancel(a + nextGen)) << "free slot, future gen";
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.heapSize(), 0u);
+
+    int fires = 0;
+    EventId b = q.scheduleAt(20, [&] { ++fires; });
+    EventId c = q.scheduleAt(30, [&] { ++fires; });
+    EXPECT_NE(b, c);
+    EXPECT_FALSE(q.cancel(b + nextGen)) << "live slot, future gen";
+    EXPECT_EQ(q.pending(), 2u);
+    q.runAll();
+    EXPECT_EQ(fires, 2);
+    EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueueProperties, PeekNextTimeTracksHeadAcrossLevels)
 {
     // peekNextTime() must report the exact next fire time without
@@ -429,27 +456,32 @@ TEST(EventQueueProperties, PoolBoundedUnderScheduleCancelChurn)
     // both cancel and fire reclaim slots eagerly. The old lazy
     // cancellation left every cancelled event in the heap until its
     // fire time, so this workload made the heap a million entries
-    // deep. Cancel still leaves a stale heap entry behind, so the
-    // heap is bounded by compaction, not by the pool.
+    // deep. Cancel now removes its heap entry at once, so the heap
+    // holds exactly the pending events after every operation.
     EventQueue q;
     for (int i = 0; i < 1'000'000; ++i) {
         EventId id = q.scheduleAfter(1 + (i % 777), [] {});
+        ASSERT_EQ(q.heapSize(), q.pending());
         ASSERT_TRUE(q.cancel(id));
+        ASSERT_EQ(q.heapSize(), q.pending());
     }
     EXPECT_EQ(q.pending(), 0u);
     EXPECT_LE(q.poolSize(), 2u);
-    EXPECT_LE(q.heapSize(), 64u);
 
     // Batched variant: peak simultaneous pending bounds the pool.
     for (int round = 0; round < 10'000; ++round) {
         EventId ids[8];
-        for (int i = 0; i < 8; ++i)
+        for (int i = 0; i < 8; ++i) {
             ids[i] = q.scheduleAfter(5 + i, [] {});
-        for (int i = 0; i < 8; ++i)
+            ASSERT_EQ(q.heapSize(), q.pending());
+        }
+        for (int i = 0; i < 8; ++i) {
             ASSERT_TRUE(q.cancel(ids[i]));
+            ASSERT_EQ(q.heapSize(), q.pending());
+        }
     }
     EXPECT_LE(q.poolSize(), 8u);
-    EXPECT_LE(q.heapSize(), 64u);
+    EXPECT_EQ(q.heapSize(), 0u);
 }
 
 TEST(EventQueueProperties, LargeCallbackHeapFallback)
