@@ -19,7 +19,9 @@
 #include <string>
 
 #include "cli/flags.hh"
+#include "des/time.hh"
 #include "intr/policy.hh"
+#include "stats/table.hh"
 
 namespace xui::bench
 {
@@ -213,6 +215,14 @@ banner(const char *title, const char *paper_ref)
     std::printf("Reproduces: %s\n", paper_ref);
     std::printf("==================================================="
                 "===================\n\n");
+}
+
+/** A latency in cycles, printed in us (whole cycles first). */
+inline std::string
+usText(double cycles, int precision)
+{
+    return TablePrinter::num(cyclesToUs(static_cast<Cycles>(cycles)),
+                             precision);
 }
 
 } // namespace xui::bench

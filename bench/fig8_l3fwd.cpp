@@ -6,23 +6,32 @@
  * 1/2/4/8 NIC queues, with the 16,000-entry DIR-24-8 LPM table.
  */
 
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
-#include "exec/sweep.hh"
+#include "figure.hh"
 #include "net/l3fwd.hh"
-#include "obs/session.hh"
-#include "obs_util.hh"
 #include "overload_util.hh"
-#include "stats/table.hh"
 
 using namespace xui;
 
 namespace
 {
+
+/** One run of `f`'s configuration under `pc` at `load`, shortened,
+ *  with l3fwd.* metrics and the DES event stream recorded. */
+void
+instrumentL3(ObsSession &obs, bench::Frontier f,
+             const bench::PolicyChoice &pc, double load, bool quick)
+{
+    f.duration = (quick ? 10 : 40) * kCyclesPerMs;
+    f.routes = quick ? 2000 : 16000;
+    L3FwdConfig cfg = f.l3(pc, load);
+    cfg.metrics = obs.metrics();
+    cfg.traceOut = obs.trace();
+    runL3Fwd(cfg);
+}
 
 /**
  * Saturation frontier (--offered-load): push the open-loop offered
@@ -30,124 +39,64 @@ namespace
  * each delivery policy and print the throughput-vs-tail frontier.
  */
 int
-runOverloadFrontier(const bench::Options &opts)
+runFrontier(const bench::Options &opts, Cycles duration,
+            std::size_t routes)
 {
-    bench::banner(
-        "l3fwd saturation frontier (overload survival)",
-        "delivery policies and ITR moderation past saturation");
-
-    Cycles duration = (opts.quick ? 20 : 100) * kCyclesPerMs;
-    std::size_t routes = opts.quick ? 4000 : 16000;
-    std::vector<std::string> policies;
-    if (opts.policyGiven)
-        policies = {opts.policy.name};
-    else
-        policies = {"off", "next_or_missed_edge",
-                    "next_or_missed_level", "next_only_edge",
-                    "next_only_level", "moderated"};
-    std::vector<double> loads = bench::loadLadder(opts.offeredLoad);
-
-    struct Cell
-    {
-        L3FwdResult r;
-    };
-    std::vector<Cell> cells = exec::sweep(
-        policies.size() * loads.size(), opts.jobs,
-        [&](std::size_t idx) {
-            bench::PolicyChoice pc;
-            bool ok = bench::parsePolicyName(
-                policies[idx / loads.size()].c_str(), pc);
-            (void)ok;
-            L3FwdConfig cfg;
-            cfg.mode = RxMode::XuiForwarded;
-            cfg.numNics = 2;
-            cfg.duration = duration;
-            cfg.routeCount = routes;
-            cfg.load = loads[idx % loads.size()];
-            cfg.seed = opts.seed;
-            bench::applyPolicy(cfg, pc, opts.itrNs);
-            Cell cell;
-            cell.r = runL3Fwd(cfg);
-            return cell;
-        });
-
-    double off_peak = 0.0;
-    double moderated_at_max = 0.0;
-    for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-        TablePrinter t("policy = " + policies[pi] +
-                       " (loads are fractions of capacity)");
-        t.setHeader({"Load", "Forwarded", "Dropped", "Mpps",
-                     "p50 us", "p95 us", "p99 us", "Coalesced",
-                     "Missed", "Recovered"});
-        for (std::size_t li = 0; li < loads.size(); ++li) {
-            const L3FwdResult &r =
-                cells[pi * loads.size() + li].r;
-            if (policies[pi] == "off")
-                off_peak = std::max(off_peak, r.throughputMpps);
-            if (policies[pi] == "moderated" &&
-                li == loads.size() - 1)
-                moderated_at_max = r.throughputMpps;
-            t.addRow(
-                {TablePrinter::percent(loads[li], 0),
-                 TablePrinter::num(
-                     static_cast<double>(r.forwarded), 0),
-                 TablePrinter::num(
-                     static_cast<double>(r.dropped), 0),
-                 TablePrinter::num(r.throughputMpps, 3),
-                 TablePrinter::num(
-                     cyclesToUs(
-                         static_cast<Cycles>(r.latency.p50())),
-                     2),
-                 TablePrinter::num(
-                     cyclesToUs(
-                         static_cast<Cycles>(r.latency.p95())),
-                     2),
-                 TablePrinter::num(
-                     cyclesToUs(
-                         static_cast<Cycles>(r.latency.p99())),
-                     2),
-                 TablePrinter::num(
-                     static_cast<double>(r.coalesced), 0),
-                 TablePrinter::num(
-                     static_cast<double>(r.missed), 0),
-                 TablePrinter::num(
-                     static_cast<double>(r.missedRecovered), 0)});
-        }
-        t.print(std::cout);
-        std::cout << '\n';
-    }
-    if (off_peak > 0.0 && moderated_at_max > 0.0) {
-        std::cout << "moderated @" << opts.offeredLoad
-                  << "x load: " << moderated_at_max
-                  << " Mpps vs unmoderated peak " << off_peak
-                  << " Mpps ("
-                  << (moderated_at_max >= off_peak
-                          ? "sustains the peak"
-                          : "BELOW the unmoderated peak")
-                  << ")\n";
-    }
-
-    // Observability run at the full overload point under the
-    // selected (or moderated) policy.
-    ObsSession obs(opts.metricsJson, opts.traceJson);
-    if (obs.enabled()) {
-        bench::PolicyChoice pc = opts.policy;
-        if (!opts.policyGiven)
-            bench::parsePolicyName("moderated", pc);
-        L3FwdConfig cfg;
-        cfg.mode = RxMode::XuiForwarded;
-        cfg.numNics = 2;
-        cfg.load = opts.offeredLoad;
-        cfg.duration = (opts.quick ? 10 : 40) * kCyclesPerMs;
-        cfg.routeCount = opts.quick ? 2000 : routes;
-        cfg.seed = opts.seed;
-        cfg.metrics = obs.metrics();
-        cfg.traceOut = obs.trace();
-        bench::applyPolicy(cfg, pc, opts.itrNs);
-        runL3Fwd(cfg);
-    }
-    bench::runObsScenario(obs, opts);
-    return obs.finish();
+    const bench::Frontier f{
+        .policies = bench::Frontier::policiesOf(bench::kL3Panel, opts),
+        .loads = bench::loadLadder(opts.offeredLoad),
+        .duration = duration,
+        .routes = routes,
+        .seed = opts.seed,
+        .itrNs = opts.itrNs};
+    return bench::runFigure<L3FwdResult>(opts, {
+        .title = "l3fwd saturation frontier (overload survival)",
+        .paperRef = "delivery policies and ITR moderation past "
+                    "saturation",
+        .tables = f.policies.size(), .rows = f.loads.size(), .cols = 1,
+        .run = [&](bench::Point p) {
+            return f.runL3(p.t * f.loads.size() + p.r);
+        },
+        .caption = [&](std::size_t t) {
+            return "policy = " + f.policies[t].name +
+                   " (loads are fractions of capacity)";
+        },
+        .header = {"Load", "Forwarded", "Dropped", "Mpps", "p50 us",
+                   "p95 us", "p99 us", "Coalesced", "Missed",
+                   "Recovered"},
+        .row = [&](std::size_t r, std::span<const L3FwdResult> c) {
+            const L3FwdResult &x = c[0];
+            return std::vector<std::string>{
+                TablePrinter::percent(f.loads[r], 0),
+                TablePrinter::integer(x.forwarded),
+                TablePrinter::integer(x.dropped),
+                TablePrinter::num(x.throughputMpps, 3),
+                bench::usText(x.latency.p50(), 2),
+                bench::usText(x.latency.p95(), 2),
+                bench::usText(x.latency.p99(), 2),
+                TablePrinter::integer(x.coalesced),
+                TablePrinter::integer(x.missed),
+                TablePrinter::integer(x.missedRecovered)};
+        },
+        .epilogue = [&](const std::vector<L3FwdResult> &cells) {
+            const bench::PeakRule peak(f, cells);
+            if (peak.offPeak > 0.0 && peak.moderatedAtTop > 0.0)
+                std::cout << "moderated @" << opts.offeredLoad
+                          << "x load: " << peak.moderatedAtTop
+                          << " Mpps vs unmoderated peak " << peak.offPeak
+                          << " Mpps ("
+                          << (peak.sustains()
+                                  ? "sustains the peak"
+                                  : "BELOW the unmoderated peak")
+                          << ")\n";
+        },
+        // At the full overload point, under the last policy of the
+        // panel (moderated) or the one --policy names.
+        .instrument = [&](ObsSession &obs) {
+            instrumentL3(obs, f, f.policies.back(), opts.offeredLoad,
+                         opts.quick);
+        },
+    });
 }
 
 } // namespace
@@ -155,108 +104,69 @@ runOverloadFrontier(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv,
-                                 bench::kObsScenario | bench::kJobs |
-                                 bench::kItrNs | bench::kOfferedLoad |
-                                 bench::kPolicy);
+    const auto opts = bench::parseFrontierArgs(
+        argc, argv,
+        bench::kObsScenario | bench::kJobs | bench::kItrNs |
+            bench::kOfferedLoad | bench::kPolicy,
+        bench::kL3Panel);
+    const Cycles duration = (opts.quick ? 20 : 100) * kCyclesPerMs;
+    const std::size_t routes = opts.quick ? 4000 : 16000;
     if (opts.offeredLoad > 0.0)
-        return runOverloadFrontier(opts);
-    bench::banner("Figure 8: Improving l3fwd efficiency",
-                  "xUI paper, Fig. 8 (free cycles and latency vs "
-                  "load, 1/2/4/8 NICs)");
+        return runFrontier(opts, duration, routes);
 
-    Cycles duration = (opts.quick ? 20 : 100) * kCyclesPerMs;
-    std::size_t routes = opts.quick ? 4000 : 16000;
-
-    // One job per (NIC count, load) cell running both rx modes on
-    // its own DES instance; the (nics, load) grid fans out across
-    // threads and reduces into tables in grid order.
     const std::vector<unsigned> nic_counts{1u, 2u, 4u, 8u};
     const std::vector<double> loads{0.1, 0.2, 0.4, 0.6, 0.8};
-    struct Cell
-    {
-        L3FwdResult poll;
-        L3FwdResult xui;
-    };
-    std::vector<Cell> cells = exec::sweep(
-        nic_counts.size() * loads.size(), opts.jobs,
-        [&](std::size_t idx) {
-            L3FwdConfig base;
-            base.duration = duration;
-            base.routeCount = routes;
-            base.numNics = nic_counts[idx / loads.size()];
-            base.load = loads[idx % loads.size()];
-            base.seed = opts.seed;
-
-            Cell cell;
-            L3FwdConfig pc = base;
-            pc.mode = RxMode::Polling;
-            cell.poll = runL3Fwd(pc);
-
-            L3FwdConfig xc = base;
-            xc.mode = RxMode::XuiForwarded;
-            cell.xui = runL3Fwd(xc);
-            return cell;
-        });
-
-    for (std::size_t ni = 0; ni < nic_counts.size(); ++ni) {
-        TablePrinter t("NICs = " + std::to_string(nic_counts[ni]) +
-                       " (cycle fractions; latency in us)");
-        t.setHeader({"Load", "poll net%", "poll free%", "xUI net%",
-                     "xUI notif%", "xUI free%", "poll p95",
-                     "xUI p95", "thr ratio"});
-        for (std::size_t li = 0; li < loads.size(); ++li) {
-            const double load = loads[li];
-            const L3FwdResult &poll =
-                cells[ni * loads.size() + li].poll;
-            const L3FwdResult &xui =
-                cells[ni * loads.size() + li].xui;
-
-            double thr_ratio = poll.forwarded
-                ? static_cast<double>(xui.forwarded) /
-                    static_cast<double>(poll.forwarded)
-                : 1.0;
-            t.addRow(
-                {TablePrinter::percent(load, 0),
-                 TablePrinter::percent(poll.networkingFrac, 1),
-                 TablePrinter::percent(poll.freeFrac, 1),
-                 TablePrinter::percent(xui.networkingFrac, 1),
-                 TablePrinter::percent(xui.notificationFrac, 1),
-                 TablePrinter::percent(xui.freeFrac, 1),
-                 TablePrinter::num(
-                     cyclesToUs(static_cast<Cycles>(
-                         poll.latency.p95())),
-                     2),
-                 TablePrinter::num(
-                     cyclesToUs(static_cast<Cycles>(
-                         xui.latency.p95())),
-                     2),
-                 TablePrinter::num(thr_ratio, 4)});
-        }
-        t.print(std::cout);
-        std::cout << '\n';
-    }
-    std::cout
-        << "Paper anchors: polling always burns 100% of the core; "
-           "at 40% load with 1 queue\nxUI leaves ~45% of cycles "
-           "free; throughput within 0.08%; p95 within +2%/-8%/+65%\n"
-           "for 1/4/8 NICs.\n";
-
-    // Observability run: one xUI-forwarded run with l3fwd.* metrics
-    // and the DES event stream attached.
-    ObsSession obs(opts.metricsJson, opts.traceJson);
-    if (obs.enabled()) {
-        L3FwdConfig cfg;
-        cfg.mode = RxMode::XuiForwarded;
-        cfg.numNics = 2;
-        cfg.load = 0.4;
-        cfg.duration = (opts.quick ? 10 : 40) * kCyclesPerMs;
-        cfg.routeCount = opts.quick ? 2000 : 16000;
-        cfg.seed = opts.seed;
-        cfg.metrics = obs.metrics();
-        cfg.traceOut = obs.trace();
-        runL3Fwd(cfg);
-    }
-    bench::runObsScenario(obs, opts);
-    return obs.finish();
+    const RxMode modes[] = {RxMode::Polling, RxMode::XuiForwarded};
+    return bench::runFigure<L3FwdResult>(opts, {
+        .title = "Figure 8: Improving l3fwd efficiency",
+        .paperRef = "xUI paper, Fig. 8 (free cycles and latency vs "
+                    "load, 1/2/4/8 NICs)",
+        .tables = nic_counts.size(), .rows = loads.size(),
+        .cols = std::size(modes),
+        .run = [&](bench::Point p) {
+            L3FwdConfig cfg;
+            cfg.mode = modes[p.c];
+            cfg.duration = duration;
+            cfg.routeCount = routes;
+            cfg.numNics = nic_counts[p.t];
+            cfg.load = loads[p.r];
+            cfg.seed = opts.seed;
+            return runL3Fwd(cfg);
+        },
+        .caption = [&](std::size_t t) {
+            return "NICs = " + std::to_string(nic_counts[t]) +
+                   " (cycle fractions; latency in us)";
+        },
+        .header = {"Load", "poll net%", "poll free%", "xUI net%",
+                   "xUI notif%", "xUI free%", "poll p95", "xUI p95",
+                   "thr ratio"},
+        .row = [&](std::size_t r, std::span<const L3FwdResult> c) {
+            const L3FwdResult &poll = c[0], &xui = c[1];
+            return std::vector<std::string>{
+                TablePrinter::percent(loads[r], 0),
+                TablePrinter::percent(poll.networkingFrac, 1),
+                TablePrinter::percent(poll.freeFrac, 1),
+                TablePrinter::percent(xui.networkingFrac, 1),
+                TablePrinter::percent(xui.notificationFrac, 1),
+                TablePrinter::percent(xui.freeFrac, 1),
+                bench::usText(poll.latency.p95(), 2),
+                bench::usText(xui.latency.p95(), 2),
+                TablePrinter::num(
+                    poll.forwarded
+                        ? static_cast<double>(xui.forwarded) /
+                              static_cast<double>(poll.forwarded)
+                        : 1.0,
+                    4)};
+        },
+        .epilogue = [](const std::vector<L3FwdResult> &) {
+            std::cout << "Paper anchors: polling always burns 100% of "
+                         "the core; at 40% load with 1 queue\nxUI "
+                         "leaves ~45% of cycles free; throughput within "
+                         "0.08%; p95 within +2%/-8%/+65%\nfor 1/4/8 "
+                         "NICs.\n";
+        },
+        .instrument = [&](ObsSession &obs) {
+            instrumentL3(obs, {.seed = opts.seed}, {}, 0.4, opts.quick);
+        },
+    });
 }

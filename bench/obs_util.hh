@@ -2,21 +2,23 @@
  * @file
  * Observability wiring shared by the bench binaries.
  *
- * Benches whose headline numbers come from the cycle tier call
- * runObsScenario() before ObsSession::finish(): when the user passed
- * `--metrics-json` / `--trace-json` it executes one representative
- * instrumented scenario — fib under a periodic 5 us KB timer with
- * tracked delivery — so the exported files always carry interrupt-
- * lifecycle spans, per-core pipeline events, and core counters. The
- * benches' own measurement runs stay uninstrumented (null observer,
- * identical timing).
+ * Every bench that exports calls runObsScenario() before
+ * ObsSession::finish(): the cycle-tier benches directly, the DES
+ * figures (Figs. 6-9) through runFigure() in figure.hh. When the user
+ * passed `--metrics-json` / `--trace-json` it executes one
+ * representative instrumented scenario — fib under a periodic 5 us
+ * KB timer with tracked delivery — so the exported files always
+ * carry interrupt-lifecycle spans, per-core pipeline events, and
+ * core counters. The benches' own measurement runs stay
+ * uninstrumented (null observer, identical timing).
  *
- * applyProfileFlags() forwards `--counter-stride` / `--tax` into the
- * session's pipeline-pressure profiler (src/obs/sampler.hh). With
- * `--tax` the scenario widens to one core per delivery strategy
- * (Tracked / Flush / Drain), each under its own periodic timer, so
- * the exported `core<N>.tax.*` tables compare the interrupt tax of
- * all three mechanisms side by side.
+ * The scenario forwards `--counter-stride` / `--tax` into the
+ * session's pipeline-pressure profiler (src/obs/sampler.hh), which
+ * only a UarchSystem attach reads. With `--tax` the scenario widens
+ * to one core per delivery strategy (Tracked / Flush / Drain), each
+ * under its own periodic timer, so the exported `core<N>.tax.*`
+ * tables compare the interrupt tax of all three mechanisms side by
+ * side.
  */
 
 #ifndef XUI_BENCH_OBS_UTIL_HH
@@ -29,22 +31,15 @@
 namespace xui::bench
 {
 
-/** Forward --counter-stride / --tax; call before the first attach. */
-inline void
-applyProfileFlags(ObsSession &obs, const Options &opts)
-{
-    ProfileConfig cfg;
-    cfg.counterStride = opts.counterStride;
-    cfg.tax = opts.tax;
-    obs.setProfile(cfg);
-}
-
 inline void
 runObsScenario(ObsSession &obs, const Options &opts)
 {
     if (!obs.enabled())
         return;
-    applyProfileFlags(obs, opts);
+    ProfileConfig profile;
+    profile.counterStride = opts.counterStride;
+    profile.tax = opts.tax;
+    obs.setProfile(profile);
     Program prog = makeFib();
     UarchSystem sys(opts.seed);
     static const DeliveryStrategy kStrategies[] = {
