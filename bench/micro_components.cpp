@@ -20,6 +20,7 @@
 #include "kv/skiplist.hh"
 #include "net/lpm.hh"
 #include "net/traffic.hh"
+#include "stats/distributions.hh"
 #include "stats/histogram.hh"
 #include "stats/rng.hh"
 #include "uarch/branch_predictor.hh"
@@ -163,7 +164,7 @@ BM_EventQueueTimeoutChurn(benchmark::State &state)
 BENCHMARK(BM_EventQueueTimeoutChurn);
 
 /**
- * l3fwd's shape: 23k arrivals scheduled up front over a 5 ms window,
+ * A deep heap: 23k events scheduled up front over a 5 ms window,
  * then drained in time order. Items are events.
  */
 static void
@@ -185,6 +186,49 @@ BM_EventQueueDeep(benchmark::State &state)
                             static_cast<std::int64_t>(kEvents));
 }
 BENCHMARK(BM_EventQueueDeep)->Unit(benchmark::kMicrosecond);
+
+/**
+ * An open-loop stream in l3fwd's shape: 23k Poisson arrivals over
+ * 5 ms, each scheduling a follow-up event 100 cycles on (its
+ * service). Arg 0 schedules every arrival up front, as L3Fwd::run
+ * once did; Arg 1 streams them as one event series, so the heap
+ * holds a few events. Items are arrivals.
+ */
+static void
+BM_EventQueueOpenLoop(benchmark::State &state)
+{
+    constexpr std::size_t kArrivals = 23'000;
+    constexpr Cycles kWindow = 5 * kCyclesPerMs;
+    PoissonProcess proc(static_cast<double>(kArrivals) /
+                            static_cast<double>(kWindow),
+                        Rng(23));
+    std::vector<Cycles> at(kArrivals);
+    for (Cycles &t : at)
+        t = proc.nextArrival();
+    const bool series = state.range(0) != 0;
+    EventQueue q;
+    auto arrive = [&q](std::size_t) { q.scheduleAfter(100, [] {}); };
+    for (auto _ : state) {
+        const Cycles base = q.now();
+        if (series) {
+            q.scheduleSeries(
+                kArrivals,
+                [&at, base](std::size_t k) { return base + at[k]; },
+                arrive);
+        } else {
+            for (std::size_t k = 0; k < kArrivals; ++k)
+                q.scheduleAt(base + at[k], [arrive, k] { arrive(k); });
+        }
+        benchmark::DoNotOptimize(q.runAll());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kArrivals));
+}
+BENCHMARK(BM_EventQueueOpenLoop)
+    ->ArgName("series")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 static void
 BM_CacheAccess(benchmark::State &state)

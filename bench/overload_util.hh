@@ -40,8 +40,8 @@ inline const std::vector<std::string> kKvPanel{"off", "adaptive"};
 /**
  * parseArgs() for a binary whose `--offered-load` frontier sweeps
  * `panel`. Only the frontier reads `--policy`, and only a policy of
- * the panel changes it; any other `--policy` would be ignored, so it
- * is a usage error (exit 2).
+ * the panel changes it; only its moderated policy reads `--itr-ns`.
+ * Either flag where it would be ignored is a usage error (exit 2).
  */
 inline Options
 parseFrontierArgs(int argc, char **argv, std::uint32_t reads,
@@ -49,17 +49,24 @@ parseFrontierArgs(int argc, char **argv, std::uint32_t reads,
 {
     Options opts = parseArgs(argc, argv, reads);
     const bool frontier = opts.offeredLoad > 0.0;
-    if (!opts.policyGiven ||
-        (frontier && std::count(panel.begin(), panel.end(),
-                                opts.policy.name) > 0))
+    const bool moderated = frontier &&
+        (opts.policyGiven
+             ? opts.policy.moderated
+             : std::count(panel.begin(), panel.end(), "moderated") > 0);
+    std::string why;
+    if (opts.policyGiven &&
+        !(frontier && std::count(panel.begin(), panel.end(),
+                                 opts.policy.name) > 0))
+        why = "--policy " + opts.policy.name +
+            (frontier ? " is not in this frontier's panel"
+                      : " is read only with --offered-load");
+    else if (opts.itrNs != 0 && !moderated)
+        why = "--itr-ns is read only by the moderated policy of "
+              "the --offered-load frontier";
+    if (why.empty())
         return opts;
-    std::exit(cli::finish(
-        flagTable(opts, reads),
-        {cli::Reject::BadValue,
-         "--policy " + opts.policy.name +
-             (frontier ? " is not in this frontier's panel"
-                       : " is read only with --offered-load")},
-        argv[0]));
+    std::exit(cli::finish(flagTable(opts, reads),
+                          {cli::Reject::BadValue, why}, argv[0]));
 }
 
 /**

@@ -67,16 +67,40 @@ EventQueue::removeAt(std::size_t pos)
     siftUp(hole, last);
 }
 
-EventId
-EventQueue::scheduleImpl(Cycles when, SmallCallback cb)
+inline std::uint32_t
+EventQueue::insert(Cycles when, std::uint64_t seq, SmallCallback &cb)
 {
     assert(when >= now_ && "cannot schedule in the past");
     std::uint32_t idx = allocEvent();
     cbs_[idx] = std::move(cb);
     heap_.emplace_back();
-    siftUp(heap_.size() - 1, Entry{when, nextSeq_++, idx});
+    siftUp(heap_.size() - 1, Entry{when, seq, idx});
     ++live_;
+    return idx;
+}
+
+EventId
+EventQueue::scheduleImpl(Cycles when, SmallCallback cb)
+{
+    std::uint32_t idx = insert(when, nextSeq_++, cb);
     return makeId(idx, slots_[idx].gen);
+}
+
+void
+EventQueue::scheduleReserved(Cycles when, std::uint64_t seq,
+                             SmallCallback cb)
+{
+    insert(when, seq, cb);
+}
+
+void
+EventQueue::dropSeries(const SeriesBase *s)
+{
+    auto it = std::find_if(series_.begin(), series_.end(),
+                           [s](const auto &p) { return p.get() == s; });
+    assert(it != series_.end());
+    *it = std::move(series_.back());
+    series_.pop_back();
 }
 
 bool

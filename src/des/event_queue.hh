@@ -22,6 +22,10 @@
  * monotonically increasing sequence number is assigned at schedule
  * time and breaks every tie in the key, which makes whole-system
  * simulations reproducible.
+ *
+ * An open-loop arrival stream is a series (scheduleSeries): its n
+ * keys are reserved at once, but only its earliest unfired event is
+ * in the heap, so the heap stays as shallow as the live work.
  */
 
 #ifndef XUI_DES_EVENT_QUEUE_HH
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -58,6 +63,13 @@ class SmallCallback
   public:
     static constexpr std::size_t kInlineBytes = 48;
 
+    /** Callable type Fn is stored inline, without an allocation. */
+    template <typename Fn>
+    static constexpr bool kFitsInline =
+        sizeof(Fn) <= kInlineBytes &&
+        alignof(Fn) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
     SmallCallback() = default;
 
     template <typename F,
@@ -66,9 +78,7 @@ class SmallCallback
     SmallCallback(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (kFitsInline<Fn>) {
             ::new (static_cast<void *>(buf_))
                 Fn(std::forward<F>(f));
             ops_ = &inlineOps<Fn>;
@@ -189,6 +199,41 @@ class EventQueue
     }
 
     /**
+     * Schedule a series of n events known up front: event k fires at
+     * when(k) and runs fire(k), for k in [0, n).
+     *
+     * The series takes n consecutive sequence numbers now, as n
+     * scheduleAt() calls made now would, so it fires in exactly their
+     * order, ties included: after same-cycle events scheduled before
+     * it, before those scheduled later (by its own handlers, say).
+     * Only its earliest unfired event is in the heap. When event k
+     * fires it first inserts event k + 1 under that event's reserved
+     * key, then runs fire(k). Event k + 1's key is larger than event
+     * k's, so it is in the heap before it could be the minimum.
+     *
+     * A series event has no EventId and cannot be cancelled; it
+     * counts in pending() and pendingSnapshot() only while in the
+     * heap. The queue keeps `when` and `fire` until the last event
+     * has fired, or until it is destroyed if that comes first.
+     * @pre when(0) >= now() and when() is nondecreasing in k.
+     */
+    template <typename When, typename Fire>
+    void
+    scheduleSeries(std::size_t n, When when, Fire fire)
+    {
+        using S = Series<When, Fire>;
+        static_assert(SmallCallback::kFitsInline<SeriesStep<S>>,
+                      "a series event must not allocate");
+        if (n == 0)
+            return;
+        auto s = std::make_unique<S>(
+            *this, std::move(when), std::move(fire), nextSeq_, n);
+        nextSeq_ += n;
+        scheduleReserved(s->when(0), s->seq0, SeriesStep<S>{s.get(), 0});
+        series_.push_back(std::move(s));
+    }
+
+    /**
      * Cancel a previously scheduled event: its slot is reclaimed and
      * its heap entry removed immediately.
      * @return true if the event was still pending (fired, cancelled,
@@ -300,6 +345,54 @@ class EventQueue
         }
     };
 
+    /** Owns one series' accessors until its last event fires. */
+    struct SeriesBase
+    {
+        SeriesBase() = default;
+        SeriesBase(const SeriesBase &) = delete;
+        SeriesBase &operator=(const SeriesBase &) = delete;
+        virtual ~SeriesBase() = default;
+    };
+
+    template <typename When, typename Fire>
+    struct Series final : SeriesBase
+    {
+        Series(EventQueue &q_, When when_, Fire fire_,
+               std::uint64_t seq0_, std::size_t n_)
+            : q(q_), when(std::move(when_)), fire(std::move(fire_)),
+              seq0(seq0_), n(n_)
+        {}
+
+        EventQueue &q;
+        When when;
+        Fire fire;
+        /** Key sequence number of event 0. */
+        std::uint64_t seq0;
+        std::size_t n;
+    };
+
+    /** A series event's callback: the series and the event's index. */
+    template <typename S>
+    struct SeriesStep
+    {
+        S *s;
+        std::size_t k;
+
+        void
+        operator()() const
+        {
+            const std::size_t next = k + 1;
+            if (next == s->n) {
+                s->fire(k);
+                s->q.dropSeries(s);
+                return;
+            }
+            s->q.scheduleReserved(s->when(next), s->seq0 + next,
+                                  SeriesStep{s, next});
+            s->fire(k);
+        }
+    };
+
     static EventId
     makeId(std::uint32_t idx, std::uint32_t gen)
     {
@@ -307,6 +400,16 @@ class EventQueue
     }
 
     EventId scheduleImpl(Cycles when, SmallCallback cb);
+    /** Schedule under a key sequence number reserved earlier. */
+    void scheduleReserved(Cycles when, std::uint64_t seq,
+                          SmallCallback cb);
+    /** Insert a live event under key (when, seq); @return its slot.
+     *  Inlined into both schedule paths, so scheduling pays no extra
+     *  call or callback move. */
+    [[gnu::always_inline]] std::uint32_t
+    insert(Cycles when, std::uint64_t seq, SmallCallback &cb);
+    /** Destroy a series whose last event has run. */
+    void dropSeries(const SeriesBase *s);
     std::uint32_t allocEvent();
     void freeEvent(std::uint32_t idx);
     /** Store x at heap position pos and record pos in its slot. */
@@ -322,18 +425,26 @@ class EventQueue
     void removeAt(std::size_t pos);
 
     std::vector<Slot> slots_;
-    /** Callbacks by slot. A deque: growing it never copies, so l3fwd's
-     * ~23k pending events do not pay a doubling's peak memory. */
+    /** Callbacks by slot. A deque: growing it never moves a callback,
+     * and a run that holds many events pending never pays a
+     * doubling's peak memory. */
     std::deque<SmallCallback> cbs_;
     std::uint32_t freeHead_ = kNil;
     /** Min-heap on (when, seq). */
     std::vector<Entry> heap_;
+
+    std::vector<std::unique_ptr<SeriesBase>> series_;
 
     FireHook fireHook_;
     Cycles now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
     std::size_t live_ = 0;
+
+  public:
+    /** The callback type of a scheduleSeries(n, when, fire) event. */
+    template <typename When, typename Fire>
+    using SeriesCallback = SeriesStep<Series<When, Fire>>;
 };
 
 } // namespace xui

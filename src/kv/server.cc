@@ -1,6 +1,7 @@
 #include "kv/server.hh"
 
 #include <memory>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
@@ -34,16 +35,23 @@ runKvServer(const KvServerConfig &config)
         config.warmupFraction * static_cast<double>(config.duration));
 
     // Pre-generate the arrival schedule and drive it through the
-    // event queue (open loop: arrivals never wait for the server).
-    std::uint64_t offered = 0;
+    // event queue as one series (open loop: arrivals never wait for
+    // the server).
+    std::vector<KvRequest> reqs;
     while (true) {
         KvRequest req = gen.next();
         if (req.arrival >= config.duration)
             break;
-        ++offered;
-        sim.queue().scheduleAt(req.arrival, [&, req]() mutable {
+        reqs.push_back(std::move(req));
+    }
+    result.offered = reqs.size();
+    sim.queue().scheduleSeries(
+        reqs.size(),
+        [&reqs](std::size_t k) { return reqs[k].arrival; },
+        [&](std::size_t k) {
             // The UDP request reaches the server; the runtime gets a
             // uthread whose work is the store's service time.
+            const KvRequest &req = reqs[k];
             store.execute(req);
             UThread t;
             t.id = req.id;
@@ -63,8 +71,6 @@ runKvServer(const KvServerConfig &config)
             };
             runtime.submit(std::move(t));
         });
-    }
-    result.offered = offered;
 
     sim.runUntil(config.duration);
     // Achieved rate is what the server sustained over the offered
@@ -78,6 +84,7 @@ runKvServer(const KvServerConfig &config)
     }
 
     result.completed = runtime.completed();
+    result.eventPoolSlots = sim.queue().poolSize();
     double measured_span =
         cyclesToUs(config.duration) / 1e6;  // seconds
     result.achievedRps =

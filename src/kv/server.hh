@@ -60,6 +60,9 @@ struct KvServerResult
     double workerUtilization = 0.0;
     /** Timer-core utilization implied by UipiSwTimer (else 0). */
     double timerCoreUtilization = 0.0;
+    /** DES event-pool slots at the end: the run's peak of
+     *  simultaneously pending events. */
+    std::size_t eventPoolSlots = 0;
 };
 
 /** Run the Fig. 7 experiment once. */

@@ -107,6 +107,10 @@ struct L3FwdResult
     std::uint64_t missedRecovered = 0;
     /** Level-trigger refires without an RX edge. */
     std::uint64_t levelRedeliveries = 0;
+
+    /** DES event-pool slots at the end: the run's peak of
+     *  simultaneously pending events. */
+    std::size_t eventPoolSlots = 0;
 };
 
 /** The l3fwd application simulation. */

@@ -151,6 +151,7 @@ DesTraceHook::attach(EventQueue &queue)
     TraceJsonWriter *out = out_;
     unsigned pid = pid_;
     unsigned tid = tid_;
+    // The id is the event's pool-slot handle; see the class comment.
     queue.setFireHook([out, pid, tid](EventId id, Cycles when) {
         out->instant("event", "des", when, pid, tid,
                      "{\"id\": " + std::to_string(id) + "}");

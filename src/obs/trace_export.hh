@@ -11,7 +11,8 @@
  *  - PipelineTraceSink: a Tracer that renders one instant event per
  *    pipeline stage event on its core's track;
  *  - DesTraceHook: attaches to an EventQueue fire hook and renders
- *    one instant event per DES event fired;
+ *    one instant event per DES event fired (its "id" arg is a
+ *    pool-slot handle, not a stable identity);
  *  - IntrSpanTracker (src/obs/span.hh) exports lifecycle stages as
  *    complete ("X") duration events.
  *
@@ -169,6 +170,12 @@ class PipelineTraceSink : public Tracer
 /**
  * Renders every DES event fired as an instant trace event. Install
  * with attach(); detaches (restores a null hook) on destruction.
+ *
+ * An instant's `"id"` arg is the event's pool-slot handle (EventId:
+ * generation and slot), not a stable event identity: slots are
+ * reused as events fire, so the same event stream can carry
+ * different ids when the queue allocates slots in another order.
+ * Compare traces by name, time and order, not by id.
  */
 class DesTraceHook
 {

@@ -9,6 +9,10 @@
  *    (when, seq)-ordered reference model, with delays from single
  *    cycles to beyond 2^30, and an open-loop run that holds 20k
  *    events pending;
+ *  - a differential of open-loop arrivals scheduled one by one
+ *    against the same arrivals as event series (scheduleSeries),
+ *    which must fire identically while the heap holds one event per
+ *    series;
  *  - targeted unit tests for the contract edges the lazy-cancel
  *    heaps got wrong (cancel of a fired handle, or of a free slot
  *    under a generation never issued, corrupted the live count;
@@ -21,9 +25,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -228,7 +235,205 @@ runOpenLoop(std::uint64_t seed)
     EXPECT_EQ(q.firedCount(), fired.size());
 }
 
+/** (tag, fire time) of every event fired, plus cancel outcomes. */
+using FireLog = std::vector<std::pair<std::uint64_t, Cycles>>;
+
+/** Tag of series s's event k in a FireLog. */
+constexpr std::uint64_t
+seriesTag(std::size_t s, std::size_t k)
+{
+    return (std::uint64_t{s + 1} << 32) | k;
+}
+
+/** FireLog tags of a cancel that hit and one that missed. */
+constexpr std::uint64_t kCancelHit = 0xC1, kCancelMiss = 0xC0;
+
+/**
+ * One seeded open-loop workload: three arrival streams with many
+ * same-cycle ties, among 300 other events scheduled before them and
+ * 300 after (lower and higher seq at the same cycles). Handlers
+ * schedule more work, at delay 0 among others, and cancel random
+ * other events; the queue drains in random slices with schedules
+ * and cancels between them. `series` schedules each stream with
+ * scheduleSeries, else with one scheduleAt per arrival. Every random
+ * choice is drawn in firing order, so the two ways must log the
+ * same bytes. In series mode the heap must hold at most one event
+ * per unfinished stream besides the other pending events.
+ */
+FireLog
+runArrivalStreams(std::uint64_t seed, bool series)
+{
+    constexpr std::size_t kStreams = 3;
+    EventQueue q;
+    Rng rng(seed);
+    FireLog log;
+    std::vector<EventId> handles;
+    std::size_t others = 0;
+    std::size_t openStreams = kStreams;
+
+    auto checkHeap = [&] {
+        if (series) {
+            EXPECT_LE(q.heapSize(), openStreams + others)
+                << "seed " << seed;
+        }
+    };
+    std::function<void(Cycles)> scheduleOther = [&](Cycles when) {
+        const std::uint64_t tag = handles.size();
+        ++others;
+        handles.push_back(q.scheduleAt(when, [&, tag] {
+            --others;
+            log.emplace_back(tag, q.now());
+            if (rng.nextBounded(10) == 0)
+                scheduleOther(q.now() + rng.nextBounded(20));
+            checkHeap();
+        }));
+    };
+    auto cancelRandom = [&] {
+        const bool hit =
+            q.cancel(handles[rng.nextBounded(handles.size())]);
+        others -= hit;
+        log.emplace_back(hit ? kCancelHit : kCancelMiss, q.now());
+    };
+
+    // Arrival times: nondecreasing, a quarter of steps zero.
+    std::vector<std::vector<Cycles>> times(kStreams);
+    for (auto &t : times) {
+        Cycles at = rng.nextBounded(50);
+        for (std::size_t k = 500 + rng.nextBounded(1500); k > 0; --k) {
+            t.push_back(at);
+            at += rng.nextBounded(4) == 0 ? 0 : rng.nextBounded(8);
+        }
+    }
+
+    for (int i = 0; i < 300; ++i)
+        scheduleOther(rng.nextBounded(3'000));
+    for (std::size_t s = 0; s < kStreams; ++s) {
+        const std::vector<Cycles> &t = times[s];
+        auto fire = [&, s](std::size_t k) {
+            log.emplace_back(seriesTag(s, k), q.now());
+            if (k + 1 == t.size())
+                --openStreams;
+            switch (rng.nextBounded(8)) {
+              case 0:
+              case 1:
+                scheduleOther(q.now());
+                break;
+              case 2:
+                scheduleOther(q.now() + rng.nextBounded(50));
+                break;
+              case 3:
+                cancelRandom();
+                break;
+            }
+            checkHeap();
+        };
+        if (series) {
+            q.scheduleSeries(
+                t.size(), [&t](std::size_t k) { return t[k]; }, fire);
+        } else {
+            for (std::size_t k = 0; k < t.size(); ++k)
+                q.scheduleAt(t[k], [fire, k] { fire(k); });
+        }
+    }
+    for (int i = 0; i < 300; ++i)
+        scheduleOther(rng.nextBounded(3'000));
+    checkHeap();
+
+    while (!q.empty()) {
+        q.runUntil(q.now() + rng.nextBounded(64));
+        for (std::uint64_t i = rng.nextBounded(4); i > 0; --i)
+            scheduleOther(q.now() + rng.nextBounded(100));
+        if (rng.nextBounded(3) == 0)
+            cancelRandom();
+        checkHeap();
+    }
+    EXPECT_EQ(openStreams, 0u);
+    EXPECT_EQ(others, 0u);
+    return log;
+}
+
 } // namespace
+
+TEST(EventQueueProperties, SeriesFiresAsScheduledOneByOne)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8}) {
+        const FireLog eager = runArrivalStreams(seed, false);
+        const FireLog series = runArrivalStreams(seed, true);
+        ASSERT_GT(eager.size(), 3'000u);
+        ASSERT_EQ(series.size(), eager.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < eager.size(); ++i)
+            ASSERT_EQ(series[i], eager[i])
+                << "seed " << seed << " event " << i;
+    }
+}
+
+TEST(EventQueueProperties, SeriesTiesFollowReservedKeys)
+{
+    // Keys: a (10, 0), series (10, 1) (10, 2) (20, 3), b (10, 4);
+    // the first series handler adds c at (10, 5).
+    EventQueue q;
+    std::vector<std::string> order;
+    q.scheduleAt(10, [&] { order.push_back("a"); });
+    const Cycles t[] = {10, 10, 20};
+    q.scheduleSeries(
+        3, [&t](std::size_t k) { return t[k]; },
+        [&](std::size_t k) {
+            order.push_back("s" + std::to_string(k));
+            if (k == 0)
+                q.scheduleAfter(0, [&] { order.push_back("c"); });
+        });
+    q.scheduleAt(10, [&] { order.push_back("b"); });
+    EXPECT_EQ(q.pending(), 3u) << "one series event in the heap";
+    q.runAll();
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "s0", "s1", "b",
+                                               "c", "s2"}));
+    EXPECT_EQ(q.firedCount(), 6u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueProperties, SeriesEventsStayInline)
+{
+    // The refill callback is a pointer and an index whatever the
+    // series captures, so no arrival allocates.
+    std::array<std::uint64_t, 8> big{};
+    int fired = 0;
+    auto when = [](std::size_t k) { return Cycles(k); };
+    auto fire = [big, &fired](std::size_t) { ++fired; };
+    static_assert(sizeof(fire) > SmallCallback::kInlineBytes);
+    static_assert(SmallCallback::kFitsInline<
+                  EventQueue::SeriesCallback<decltype(when),
+                                             decltype(fire)>>);
+
+    EventQueue q;
+    q.scheduleSeries(0, when, fire);
+    EXPECT_TRUE(q.empty()) << "an empty series schedules nothing";
+    q.scheduleSeries(3, when, fire);
+    EXPECT_EQ(q.runAll(), 3u);
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(q.poolSize(), 1u) << "each event reuses the slot";
+}
+
+TEST(EventQueueProperties, SeriesReleasesItsAccessors)
+{
+    // A finished series frees what it captured at once; an unfinished
+    // one when the queue goes.
+    auto token = std::make_shared<int>(0);
+    auto add = [&token](EventQueue &q, std::size_t n) {
+        q.scheduleSeries(
+            n, [token](std::size_t k) { return Cycles(10 * k); },
+            [token](std::size_t) { ++*token; });
+    };
+    {
+        EventQueue q;
+        add(q, 2);
+        add(q, 3);
+        EXPECT_EQ(token.use_count(), 5);
+        q.runUntil(10);
+        EXPECT_EQ(token.use_count(), 3) << "the 2-event series is done";
+        EXPECT_EQ(*token, 4);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
 
 TEST(EventQueueProperties, DifferentialAgainstReferenceModel)
 {

@@ -261,3 +261,17 @@ TEST(KvServer, ThroughputTracksOfferedLoadBelowSaturation)
     KvServerResult r = quickRun(PreemptMode::XuiKbTimer, 50000.0);
     EXPECT_NEAR(r.achievedRps, 50000.0, 5000.0);
 }
+
+TEST(KvServer, ArrivalsStreamThroughAShallowEventPool)
+{
+    // A bench/perf des_apps point: ~4k requests at 0.8x saturation.
+    // The arrivals are one event series, so the event pool holds
+    // the runtime's few events and one arrival, not every request.
+    KvServerConfig cfg;
+    cfg.mode = PreemptMode::XuiKbTimer;
+    cfg.offeredLoadRps = 0.8 * 250000.0;
+    cfg.duration = 20 * kCyclesPerMs;
+    KvServerResult r = runKvServer(cfg);
+    ASSERT_GT(r.offered, 3'000u);
+    EXPECT_LE(r.eventPoolSlots, 8u);
+}

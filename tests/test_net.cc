@@ -730,3 +730,20 @@ TEST(L3Fwd, MultiQueueStillConservesPackets)
         EXPECT_GT(r.freeFrac, 0.2) << nics << " nics";
     }
 }
+
+TEST(L3Fwd, ArrivalsStreamThroughAShallowEventPool)
+{
+    // A bench/perf des_apps point: ~23k arrivals on 4 NICs. Each NIC's
+    // arrivals are one event series, so the event pool peaks at a
+    // few slots; scheduling every arrival up front needs one each.
+    L3FwdConfig cfg;
+    cfg.mode = RxMode::XuiForwarded;
+    cfg.numNics = 4;
+    cfg.load = 0.7;
+    cfg.duration = 5 * kCyclesPerMs;
+    cfg.routeCount = 2000;
+    L3FwdResult r = runL3Fwd(cfg);
+    ASSERT_GT(r.offered, 20'000u);
+    EXPECT_EQ(r.forwarded + r.dropped, r.offered);
+    EXPECT_LE(r.eventPoolSlots, 8u);
+}
